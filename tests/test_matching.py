@@ -1,5 +1,8 @@
 """Walk engine: graphs, enumeration, configurations, presentations."""
 
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -337,3 +340,16 @@ def test_random_walks_are_members(seed):
     g = build_graph(sys_)
     for w in enumerate_strings(g) + enumerate_bands(g):
         assert is_member(sys_, walk_vector(g, w))
+
+
+RANDOM_DIGEST = pathlib.Path(__file__).parent / "goldens" / "random777_presentations.sha256"
+
+
+def test_random_presentations_match_golden_digest():
+    """400 seeded systems present exactly as recorded, relation order included."""
+    rng = random.Random(777)
+    h = hashlib.sha256()
+    for _ in range(400):
+        d = presentation(oracle.random_matching_system(rng)).as_dict()
+        h.update((json.dumps(d, sort_keys=True) + "\n").encode("utf-8"))
+    assert h.hexdigest() == RANDOM_DIGEST.read_text(encoding="utf-8").split()[0]
