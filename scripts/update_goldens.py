@@ -29,9 +29,9 @@ CASES = [
     ("running_components.json", ["components", "running.model", "--json"]),
     ("path_components.json", ["components", "path.model", "--json"]),
     ("closing_generators.json", ["generators", "closing.model", "--json"]),
-    ("closing_relations.json", ["relations", "closing.model", "--json"]),
     ("closing_verify.json", ["verify", "closing.model", "--cap", "3", "--json"]),
     ("cover_report.json", ["cover", "cover.model", "--json"]),
+    ("closing_relations.json", ["relations", "closing.model", "--json"]),
 ]
 
 # sha256 over the sorted-key JSON lines of presentation().as_dict() for

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, InvariantError, ValidationReport, require
+from .errors import InputError, ValidationReport, require
 
 
 @dataclass(frozen=True)
@@ -633,25 +633,6 @@ def _decompose_first(vectors, target):
     return go(tuple(target), 0)
 
 
-def _decompositions_all(vectors, target):
-    out = []
-    acc: list[int] = []
-
-    def go(rem, start):
-        if not any(rem):
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(vectors)):
-            g = vectors[i]
-            if all(gi <= ri for gi, ri in zip(g, rem)):
-                acc.append(i)
-                go(tuple(ri - gi for ri, gi in zip(rem, g)), i)
-                acc.pop()
-
-    go(tuple(target), 0)
-    return out
-
-
 def _cancel_orient(lhs, rhs):
     """Cancel shared generators, orient the smaller side first.
 
@@ -688,80 +669,46 @@ def _replace(state, old, new):
     return _msort(pool + list(new))
 
 
-def _moves(state, rels):
-    out = []
-    for a, b in rels:
+class _Congruence:
+    """The congruence spanned by the relations kept so far.
+
+    Each relation is stored in both directions under the smallest generator
+    of its source side, so a multiset only tries the moves whose source can
+    fit inside it.
+    """
+
+    def __init__(self):
+        self._by_first: dict[int, list[tuple]] = {}
+
+    def add(self, rel):
+        a, b = rel
         for src, dst in ((a, b), (b, a)):
-            if _contains(state, src):
-                out.append(_replace(state, src, dst))
-    return out
+            self._by_first.setdefault(src[0], []).append((src, dst))
 
+    def _moves(self, state):
+        for x in set(state):
+            for src, dst in self._by_first.get(x, ()):
+                if _contains(state, src):
+                    yield _replace(state, src, dst)
 
-def _congruent_multisets(a, b, rels):
-    """Whether the relation set rewrites multiset a into multiset b."""
-    start, target = _msort(a), _msort(b)
-    if start == target:
-        return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for t in _moves(st, rels):
-                if t == target:
-                    return True
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return False
-
-
-def _fiber_classes(decs, rels):
-    decs = sorted(set(decs))
-    idx = {d: i for i, d in enumerate(decs)}
-    parent = list(range(len(decs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for d in decs:
-        for t in _moves(d, rels):
-            if t in idx:
-                a, b = find(idx[d]), find(idx[t])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    groups: dict[int, list] = {}
-    for d in decs:
-        groups.setdefault(find(idx[d]), []).append(d)
-    return sorted(groups.values())
-
-
-def _reachable_sums(sys_: MatchingSystem, vecs, cap, budget=200000):
-    start = tuple([0] * sys_.num_vars)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in vecs:
-                w = _vadd(v, g)
-                if w in seen:
-                    continue
-                if max(sys_.fprofile(w), default=0) <= cap:
-                    seen.add(w)
-                    if len(seen) > budget:
-                        raise InvariantError(
-                            "relation sweep exceeded the internal budget;"
-                            " the system is too large for exact search"
-                        )
-                    nxt.append(w)
-        frontier = nxt
-    seen.discard(start)
-    return seen
+    def implies(self, a, b):
+        """Whether the kept relations rewrite multiset a into multiset b."""
+        start, target = _msort(a), _msort(b)
+        if start == target:
+            return True
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for st in frontier:
+                for t in self._moves(st):
+                    if t == target:
+                        return True
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+            frontier = nxt
+        return False
 
 
 def _partial_strings(graph: MatchingGraph):
@@ -830,19 +777,34 @@ def _loop_free_walks(graph: MatchingGraph):
     return out
 
 
+def _swap_candidates(dec, left, right, provenance, cands):
+    """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
+
+    p1 < p2 run over left and q1 < q2 over right. Each side decomposition
+    dec(p + q) is computed once per pair and read from a table.
+    """
+    if len(left) < 2 or len(right) < 2:
+        return
+    table = [[dec(_vadd(p, q)) for q in right] for p in left]
+    cols = list(itertools.combinations(range(len(right)), 2))
+    for r1, r2 in itertools.combinations(table, 2):
+        for j1, j2 in cols:
+            rel = _cancel_orient(r1[j1] + r2[j2], r1[j2] + r2[j1])
+            if rel is not None:
+                cands.append((rel, provenance))
+
+
 def _x_candidates(graph, dec):
     arms = _partial_strings(graph)
     cands = []
     for v, w in graph.dotted_edges():
-        av = sorted(arms.get(v, ()))
-        aw = sorted(arms.get(w, ()))
-        for p1, p2 in itertools.combinations(av, 2):
-            for q1, q2 in itertools.combinations(aw, 2):
-                lhs = dec(_vadd(q1, p1)) + dec(_vadd(q2, p2))
-                rhs = dec(_vadd(q1, p2)) + dec(_vadd(q2, p1))
-                rel = _cancel_orient(lhs, rhs)
-                if rel is not None:
-                    cands.append((rel, "X-configuration({%d,%d})" % (v, w)))
+        _swap_candidates(
+            dec,
+            sorted(arms.get(v, ())),
+            sorted(arms.get(w, ())),
+            "X-configuration({%d,%d})" % (v, w),
+            cands,
+        )
     return cands
 
 
@@ -851,22 +813,15 @@ def _h_candidates(graph, dec):
     cands = []
     dotted = graph.dotted_edges()
     for (v, vbar), (w, wbar) in itertools.combinations(dotted, 2):
+        provenance = "H-configuration({%d,%d},{%d,%d})" % (v, vbar, w, wbar)
         for aend, bend in ((w, wbar), (wbar, w)):
-            avs = sorted(walks.get((v, aend), ()))
-            bvs = sorted(walks.get((vbar, bend), ()))
-            for a1, a2 in itertools.combinations(avs, 2):
-                for b1, b2 in itertools.combinations(bvs, 2):
-                    lhs = dec(_vadd(a1, b1)) + dec(_vadd(a2, b2))
-                    rhs = dec(_vadd(a1, b2)) + dec(_vadd(a2, b1))
-                    rel = _cancel_orient(lhs, rhs)
-                    if rel is not None:
-                        cands.append(
-                            (
-                                rel,
-                                "H-configuration({%d,%d},{%d,%d})"
-                                % (v, vbar, w, wbar),
-                            )
-                        )
+            _swap_candidates(
+                dec,
+                sorted(walks.get((v, aend), ())),
+                sorted(walks.get((vbar, bend), ())),
+                provenance,
+                cands,
+            )
     return cands
 
 
@@ -892,33 +847,29 @@ class _RelationSearch:
             self._dec_cache[target] = tuple(self.searchable[i] for i in local)
         return self._dec_cache[target]
 
+    def side_sum(self, side):
+        return _side_vector(self.vectors, side, self.sys.num_vars)
+
     def candidates(self, which: str):
+        """Distinct candidate relations ordered by (total, vector) of their sides.
+
+        A relation can only rewrite multisets whose sum dominates its side
+        sum, so this order presents each fiber after every fiber below it.
+        """
         cands = []
         if "x" in which:
             cands += _x_candidates(self.graph, self.dec)
         if "h" in which:
             cands += _h_candidates(self.graph, self.dec)
-        seen = set()
-        ordered = []
+        first: dict[tuple, str] = {}
         for rel, prov in cands:
-            if rel in seen:
-                continue
-            seen.add(rel)
-            ordered.append((rel, prov))
-        n = self.sys.num_vars
-        ordered.sort(
-            key=lambda t: (sum(_side_vector(self.vectors, t[0][0], n)), t[0])
-        )
-        return ordered
-
-    def side_sum(self, side):
-        return _side_vector(self.vectors, side, self.sys.num_vars)
-
-    def decs_of(self, v):
-        return [
-            _msort(tuple(self.searchable[i] for i in d))
-            for d in _decompositions_all(self.svecs, v)
-        ]
+            first.setdefault(rel, prov)
+        ordered = []
+        for rel, prov in first.items():
+            v = self.side_sum(rel[0])
+            ordered.append(((sum(v), v, rel), rel, prov))
+        ordered.sort()
+        return [(rel, prov) for _, rel, prov in ordered]
 
     def to_relations(self, kept, prov_of):
         out = []
@@ -934,14 +885,17 @@ class _RelationSearch:
 
 
 def _config_relations(graph: MatchingGraph, gens, which: str):
+    """Configuration candidates kept greedily unless the kept ones imply them."""
     if gens is None:
         gens = generators(graph)
     search = _RelationSearch(graph, gens)
+    congruence = _Congruence()
     kept = []
     prov_of = {}
     for rel, prov in search.candidates(which):
-        if _congruent_multisets(rel[0], rel[1], kept):
+        if congruence.implies(*rel):
             continue
+        congruence.add(rel)
         kept.append(rel)
         prov_of[rel] = prov
     return search.to_relations(kept, prov_of)
@@ -957,81 +911,33 @@ def find_h_configurations(graph: MatchingGraph, gens=None) -> list[Relation]:
     return _config_relations(graph, gens, "h")
 
 
-SWEEP_CAP = 4
+# the reported relation_cap never drops below the oracle's default
+# relation_degree_cap, so a verify run checks at least that far
+RELATION_CAP_FLOOR = 4
 
 
 def presentation(sys_: MatchingSystem) -> Presentation:
     """Generators and a minimal relation set for the solution semigroup.
 
-    Relations come from a greedy sweep of all decomposable sums with row
-    counts at most SWEEP_CAP, preferring X/H configuration candidates and
-    falling back on direct fiber joins; configuration relations above the
-    sweep domain are appended when not already implied.
+    Generators are the irreducible walk vectors plus one unit vector per
+    free variable. Relations are the X- and H-configurations of the
+    matching graph, taken in order of their side sums and dropped when the
+    relations already kept imply them by congruence. relation_cap is the
+    largest row count of a kept relation's side sum, at least
+    RELATION_CAP_FLOOR.
     """
     graph = build_graph(sys_)
     gens = generators(graph)
-    search = _RelationSearch(graph, gens)
-    ordered = search.candidates("xh")
-
-    kept: list[tuple] = []
-    prov_of: dict[tuple, str] = {}
-    sums = _reachable_sums(sys_, search.svecs, SWEEP_CAP)
-    decs_at: dict[tuple, list] = {}
-    for v in sorted(sums, key=lambda u: (sum(u), u)):
-        decs = search.decs_of(v)
-        if len(decs) < 2:
-            continue
-        decs_at[v] = decs
-        while True:
-            cls = _fiber_classes(decs, kept)
-            if len(cls) == 1:
-                break
-            added = False
-            for rel, prov in ordered:
-                if rel in prov_of:
-                    continue
-                a, b = rel
-                if search.side_sum(a) != v:
-                    continue
-                if a not in decs_at[v] or b not in decs_at[v]:
-                    continue
-                ca = next(i for i, c in enumerate(cls) if a in c)
-                cb = next(i for i, c in enumerate(cls) if b in c)
-                if ca != cb:
-                    kept.append(rel)
-                    prov_of[rel] = prov
-                    added = True
-                    break
-            if not added:
-                rel = _cancel_orient(cls[0][0], cls[1][0])
-                require(rel is not None, "distinct classes with equal members")
-                kept.append(rel)
-                prov_of[rel] = "toric-kernel"
-
-    for rel, prov in ordered:
-        if rel in prov_of:
-            continue
-        if _congruent_multisets(rel[0], rel[1], kept):
-            continue
-        kept.append(rel)
-        prov_of[rel] = prov
-
-    # final re-check: one class per decomposable sum in the sweep domain
-    for v, decs in decs_at.items():
-        require(
-            len(_fiber_classes(decs, kept)) == 1,
-            "relation set leaves a decomposition fiber disconnected",
-        )
-
-    cap_used = SWEEP_CAP
-    for rel in kept:
-        u = search.side_sum(rel[0])
-        cap_used = max(cap_used, max(sys_.fprofile(u), default=0))
-
+    relations = _config_relations(graph, gens, "xh")
+    vector = {g.name: g.vector for g in gens}
+    cap = RELATION_CAP_FLOOR
+    for rel in relations:
+        u = _side_vector(vector, rel.lhs, sys_.num_vars)
+        cap = max(cap, max(sys_.fprofile(u), default=0))
     return Presentation(
         system=sys_,
         graph=graph,
         generators=gens,
-        relations=search.to_relations(kept, prov_of),
-        relation_cap=cap_used,
+        relations=relations,
+        relation_cap=cap,
     )

@@ -100,7 +100,10 @@ def build_peg(
         adj[w].append((u, "colored", a))
     for rt, nbrs in adj.items():
         kinds = [k for _, k, _ in nbrs]
-        assert kinds.count("vertex") <= 1 and kinds.count("colored") <= 1, rt
+        require(
+            kinds.count("vertex") <= 1 and kinds.count("colored") <= 1,
+            f"root {rt} has two edges of one kind",
+        )
         nbrs.sort()
     return PegGraph(
         roots=tuple(roots),
@@ -155,9 +158,9 @@ def components(graph: PegGraph) -> list[PegComponent]:
             out.append(PegComponent("isolated", (root,), ()))
             continue
         if ends:
-            assert len(ends) == 2, ends
+            require(len(ends) == 2, f"string component with ends {ends}")
             walk = _walk_string(graph, ends[0])
-            assert walk[-1] == ends[1]
+            require(walk[-1] == ends[1], "string walk misses its second end")
             out.append(PegComponent("string", tuple(walk), (walk[0], walk[-1])))
         else:
             start = min(comp)
@@ -165,11 +168,14 @@ def components(graph: PegGraph) -> list[PegComponent]:
             walk = [start, second]
             while True:
                 nxt = [n for n, _, _ in graph.neighbors(walk[-1]) if n != walk[-2]]
-                assert len(nxt) == 1
+                require(len(nxt) == 1, "band root without a unique successor")
                 if nxt[0] == start:
                     break
                 walk.append(nxt[0])
-            assert len(walk) % 2 == 0 and len(walk) >= 4
+            require(
+                len(walk) % 2 == 0 and len(walk) >= 4,
+                f"band of odd or short length {len(walk)}",
+            )
             out.append(PegComponent("band", tuple(walk), ()))
     out.sort(key=lambda cp: min(cp.roots))
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError, require
+from .errors import InputError
 from .quivers import (
     Coloring,
     Quiver,
@@ -31,10 +31,10 @@ def check_beta(q: Quiver, beta: dict[str, int]) -> None:
     for v in q.vertices:
         if v not in beta:
             raise InputError(f"dimension vector missing vertex {v}")
-        require(
-            isinstance(beta[v], int) and beta[v] >= 0,
-            f"dimension at {v} must be a nonnegative integer, got {beta[v]!r}",
-        )
+        if not (isinstance(beta[v], int) and beta[v] >= 0):
+            raise InputError(
+                f"dimension at {v} must be a nonnegative integer, got {beta[v]!r}"
+            )
 
 
 def rank_violations(
@@ -45,10 +45,10 @@ def rank_violations(
     for a in q.arrow_names():
         if a not in r:
             raise InputError(f"rank sequence missing arrow {a}")
-        require(
-            isinstance(r[a], int) and r[a] >= 0,
-            f"rank at {a} must be a nonnegative integer, got {r[a]!r}",
-        )
+        if not (isinstance(r[a], int) and r[a] >= 0):
+            raise InputError(
+                f"rank at {a} must be a nonnegative integer, got {r[a]!r}"
+            )
     bad = []
     for (x, s), inc in color_incidence(q, c).items():
         used = r.get(inc.in_arrow, 0) + r.get(inc.out_arrow, 0)

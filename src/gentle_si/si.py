@@ -482,6 +482,11 @@ def si_presentation(
             dl == dr,
             f"relation {rel.lhs} = {rel.rhs} has mismatched degrees {dl} and {dr}",
         )
+        require(
+            dl <= rel_bound,
+            f"relation {rel.lhs} = {rel.rhs} has degree {dl} above the bound"
+            f" {rel_bound}",
+        )
 
     grading = {rec.name: rec.grade for rec in records}
     return SiPresentation(

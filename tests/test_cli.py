@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import io
 import json
+import math
 import pathlib
 
 import jsonschema
@@ -23,9 +24,9 @@ GOLDEN_CASES = [
     ("running_components.json", ("components", "running.model", "--json")),
     ("path_components.json", ("components", "path.model", "--json")),
     ("closing_generators.json", ("generators", "closing.model", "--json")),
-    ("closing_relations.json", ("relations", "closing.model", "--json")),
     ("closing_verify.json", ("verify", "closing.model", "--cap", "3", "--json")),
     ("cover_report.json", ("cover", "cover.model", "--json")),
+    ("closing_relations.json", ("relations", "closing.model", "--json")),
 ]
 
 
@@ -183,6 +184,48 @@ def test_error_object_matches_schema(capsys):
 
 
 # ---------------------------------------------------------------------------
+# closed form beyond the oracle's reach
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_segre_relations_are_the_2x2_minors(capsys, tmp_path, n):
+    """One equation x1 + ... + xn = y1 + ... + yn presents the Segre ring.
+
+    Its generators are the n^2 vectors x_i + y_j and its relations the
+    C(n,2)^2 minors x_i y_j * x_k y_l = x_i y_l * x_k y_j, one per fiber.
+    """
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    ys = [f"y{i}" for i in range(1, n + 1)]
+    path = tmp_path / f"segre{n}.model"
+    path.write_text(f"eq 1: {' '.join(xs)} = {' '.join(ys)}\n")
+    code, out, err = run_cli(capsys, "relations", path, "--json")
+    assert code == 0
+    payload = json.loads(out)
+
+    want = set()
+    for i in range(n):
+        for j in range(n):
+            u = [0] * (2 * n)
+            u[i] = u[n + j] = 1
+            want.add(tuple(u))
+    vec = {g["name"]: tuple(g["vector"]) for g in payload["generators"]}
+    assert len(vec) == n * n
+    assert set(vec.values()) == want
+
+    def side_sum(names):
+        return tuple(map(sum, zip(*(vec[g] for g in names))))
+
+    rels = payload["relations"]
+    assert len(rels) == math.comb(n, 2) ** 2
+    fibers = set()
+    for rel in rels:
+        assert len(rel["lhs"]) == len(rel["rhs"]) == 2
+        assert not set(rel["lhs"]) & set(rel["rhs"])
+        assert side_sum(rel["lhs"]) == side_sum(rel["rhs"])
+        fibers.add(side_sum(rel["lhs"]))
+    assert len(fibers) == len(rels)
+
+
+# ---------------------------------------------------------------------------
 # exit codes and modes
 
 def test_text_error_goes_to_stderr(capsys):
@@ -201,6 +244,22 @@ def test_usage_error_is_input_error(capsys):
 def test_missing_command_is_input_error(capsys):
     code, out, err = run_cli(capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "line", ["beta 2 -1", "beta 2 1.5", "rank a -1", "rank a x"]
+)
+def test_bad_dimension_or_rank_exits_1(capsys, tmp_path, line):
+    text = "vertex 1\nvertex 2\narrow a 1 2 color s\nbeta 1 2\nbeta 2 2\n"
+    if line.startswith("beta"):
+        text = text.replace("beta 2 2\n", line + "\n") + "rank a 1\n"
+    else:
+        text += line + "\n"
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "presentation", path, "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "input"
 
 
 def test_invariant_error_maps_to_exit_2(capsys, monkeypatch):

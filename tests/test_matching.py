@@ -342,7 +342,9 @@ def test_random_walks_are_members(seed):
         assert is_member(sys_, walk_vector(g, w))
 
 
-RANDOM_DIGEST = pathlib.Path(__file__).parent / "goldens" / "random777_presentations.sha256"
+RANDOM_DIGEST = (
+    pathlib.Path(__file__).parent / "goldens" / "random777_presentations.sha256"
+)
 
 
 def test_random_presentations_match_golden_digest():

@@ -21,6 +21,7 @@ from gentle_si.peg import (
 )
 from gentle_si.quivers import Arrow, Coloring, Quiver, monochromatic_ideal, is_gentle
 from gentle_si.ranks import maximal_rank_sequences
+from gentle_si.si import si_presentation
 
 
 def running_peg():
@@ -241,3 +242,6 @@ def test_random_pipelines_extract_valid_systems(seed):
     assert not used & set(ext.free_arrows)
     for a in ext.free_arrows:
         assert r[a] > 0
+    pres = si_presentation(q, c, beta, r)
+    for rel in pres.matching.relations:
+        assert pres.relation_degree(rel) <= pres.degree_bound_rels

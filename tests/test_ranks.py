@@ -12,12 +12,14 @@ from gentle_si import oracle
 from gentle_si.errors import InputError
 from gentle_si.quivers import Arrow, Coloring, Quiver
 from gentle_si.ranks import (
+    check_beta,
     is_maximal_rank,
     is_rank_sequence,
     maximal_rank_sequences,
     rank_violations,
     restrict_to_color,
 )
+from gentle_si.si import si_presentation
 
 
 def test_running_full_rank_is_admissible():
@@ -46,6 +48,28 @@ def test_missing_entries_raise():
         is_rank_sequence(q, c, beta, partial)
     with pytest.raises(InputError):
         is_rank_sequence(q, c, {"1": 2}, r)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "2", None])
+def test_bad_dimension_is_input_error(bad):
+    q, c, beta, r = running_example()
+    beta = {**beta, "2": bad}
+    with pytest.raises(InputError, match="dimension at 2"):
+        check_beta(q, beta)
+    with pytest.raises(InputError, match="dimension at 2"):
+        rank_violations(q, c, beta, r)
+    with pytest.raises(InputError, match="dimension at 2"):
+        si_presentation(q, c, beta, r)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "2", None])
+def test_bad_rank_is_input_error(bad):
+    q, c, beta, r = running_example()
+    r = dict(r, b2=bad)
+    with pytest.raises(InputError, match="rank at b2"):
+        rank_violations(q, c, beta, r)
+    with pytest.raises(InputError, match="rank at b2"):
+        is_rank_sequence(q, c, beta, r)
 
 
 def test_restrict_to_color_b():

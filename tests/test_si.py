@@ -12,6 +12,7 @@ from fixtures import (
     running_example,
 )
 
+import gentle_si.si as si_module
 from gentle_si import oracle
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.si import (
@@ -140,6 +141,23 @@ def test_running_relation_degrees_within_bound():
     )
     for rel in pres.matching.relations:
         assert pres.relation_degree(rel) <= pres.degree_bound_rels
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scaled_running_relation_degrees_within_bound(k):
+    q, c, beta, r = running_example()
+    beta = {v: k * b for v, b in beta.items()}
+    r = {a: k * x for a, x in r.items()}
+    pres = si_presentation(q, c, beta, r)
+    degrees = [pres.relation_degree(rel) for rel in pres.matching.relations]
+    assert degrees == [10 * k]
+    assert max(degrees) <= pres.degree_bound_rels
+
+
+def test_relation_above_degree_bound_raises(monkeypatch):
+    monkeypatch.setattr(si_module, "degree_bounds", lambda q, r: (42, 9))
+    with pytest.raises(InvariantError, match="above the bound 9"):
+        si_presentation(*running_example())
 
 
 def test_running_generators_satisfy_oracle_equations():
