@@ -16,7 +16,7 @@ import pathlib
 import random
 import sys
 
-from gentle_si.cli import main
+from gentle_si.cli import CliConfig, main, parse_model, run_command
 from gentle_si.matching import presentation
 from gentle_si.oracle import random_matching_system
 
@@ -48,6 +48,36 @@ def random_presentations_digest(seed: int = 777, count: int = 400) -> str:
     return h.hexdigest()
 
 
+# sha256 over the --json outputs of the running example scaled by k: presentation
+# and peg with beta and r times k for k = 1..10, then components and
+# derived-rank presentation with beta times k and no rank lines for k = 1..4
+QUIVER_DIGEST_NAME = "running_scaled_outputs.sha256"
+
+
+def scaled_running(k: int, ranks: bool) -> str:
+    """running.model with every dimension and rank times k, or no rank lines."""
+    lines = []
+    text = (GOLDENS / "running.model").read_text(encoding="utf-8")
+    for line in text.splitlines():
+        tok = line.split()
+        if tok and tok[0] in ("beta", "rank"):
+            if tok[0] == "rank" and not ranks:
+                continue
+            line = f"{tok[0]} {tok[1]} {int(tok[2]) * k}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def quiver_outputs_digest() -> str:
+    cases = [(cmd, k, True) for cmd in ("presentation", "peg") for k in range(1, 11)]
+    cases += [(cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)]
+    h = hashlib.sha256()
+    for cmd, k, ranks in cases:
+        model = parse_model(scaled_running(k, ranks))
+        h.update(run_command(cmd, model, CliConfig(json=True)).encode("utf-8"))
+    return h.hexdigest()
+
+
 def run() -> int:
     for out_name, argv in CASES:
         argv = [
@@ -65,6 +95,10 @@ def run() -> int:
         random_presentations_digest() + "\n", encoding="utf-8"
     )
     print(f"wrote {DIGEST_NAME}")
+    (GOLDENS / QUIVER_DIGEST_NAME).write_text(
+        quiver_outputs_digest() + "\n", encoding="utf-8"
+    )
+    print(f"wrote {QUIVER_DIGEST_NAME}")
     return 0
 
 

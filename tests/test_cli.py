@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 import io
 import json
@@ -38,6 +39,19 @@ def run_cli(capsys, *argv):
 
 def model_path(name: str) -> str:
     return str(GOLDENS / name)
+
+
+def scaled_running(k: int, ranks: bool = True) -> str:
+    """running.model with every dimension and rank times k, or no rank lines."""
+    lines = []
+    for line in (GOLDENS / "running.model").read_text(encoding="utf-8").splitlines():
+        tok = line.split()
+        if tok and tok[0] in ("beta", "rank"):
+            if tok[0] == "rank" and not ranks:
+                continue
+            line = f"{tok[0]} {tok[1]} {int(tok[2]) * k}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +139,22 @@ def test_golden_output(capsys, out_name, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDENS / out_name).read_text(encoding="utf-8")
+
+
+def test_scaled_running_outputs_match_golden_digest():
+    """The quiver side prints exactly as recorded on the scaled running example.
+
+    Covers presentation and peg with beta and r times 1..10, then
+    components and derived-rank presentation with beta times 1..4.
+    """
+    cases = [(cmd, k, True) for cmd in ("presentation", "peg") for k in range(1, 11)]
+    cases += [(cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)]
+    h = hashlib.sha256()
+    for cmd, k, ranks in cases:
+        model = parse_model(scaled_running(k, ranks))
+        h.update(run_command(cmd, model, CliConfig(json=True)).encode("utf-8"))
+    digest = (GOLDENS / "running_scaled_outputs.sha256").read_text(encoding="utf-8")
+    assert h.hexdigest() == digest.split()[0]
 
 
 # ---------------------------------------------------------------------------
