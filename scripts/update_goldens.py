@@ -70,7 +70,9 @@ def scaled_running(k: int, ranks: bool) -> str:
 
 def quiver_outputs_digest() -> str:
     cases = [(cmd, k, True) for cmd in ("presentation", "peg") for k in range(1, 11)]
-    cases += [(cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)]
+    cases += [
+        (cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)
+    ]
     h = hashlib.sha256()
     for cmd, k, ranks in cases:
         model = parse_model(scaled_running(k, ranks))

@@ -24,7 +24,7 @@ from gentle_si.oracle import (
 
 def run(count: int, seed: int, cap: int, max_m: int, max_l: int) -> int:
     rng = random.Random(seed)
-    cfg = OracleConfig(coordinate_cap=cap, seed=seed)
+    cfg = OracleConfig(coordinate_cap=cap)
     start = time.perf_counter()
     failures = 0
     for k in range(1, count + 1):

@@ -79,7 +79,6 @@ class CliConfig:
     json: bool = False
     dot: bool = False
     cap: int = 3
-    seed: int = 0
 
 
 @dataclass
@@ -325,7 +324,6 @@ def _resolve_rank(
 
 @dataclass
 class _Pipeline:
-    c: Coloring
     r: dict[str, int]
     rank_derived: bool
     ctx: PegContext
@@ -336,7 +334,7 @@ def _quiver_pipeline(model: ModelFile) -> _Pipeline:
     c = _pipeline_coloring(model)
     r, derived = _resolve_rank(model, c)
     ctx = peg_context(q, c, model.beta, r)
-    return _Pipeline(c=c, r=r, rank_derived=derived, ctx=ctx)
+    return _Pipeline(r=r, rank_derived=derived, ctx=ctx)
 
 
 def _model_system(model: ModelFile) -> tuple[MatchingSystem, Optional[_Pipeline]]:
@@ -520,9 +518,10 @@ def _cmd_presentation(model: ModelFile, cfg: CliConfig) -> dict:
         payload = {"command": "presentation", "variables": list(sys_.var_names)}
         payload.update(pres.as_dict())
         return payload
-    pl = _quiver_pipeline(model)
-    pres = si_presentation(model.q, pl.c, model.beta, pl.r)
-    payload = {"command": "presentation", "rank_derived": pl.rank_derived}
+    c = _pipeline_coloring(model)
+    r, derived = _resolve_rank(model, c)
+    pres = si_presentation(model.q, c, model.beta, r)
+    payload = {"command": "presentation", "rank_derived": derived}
     payload.update(pres.as_dict())
     return payload
 
@@ -546,9 +545,7 @@ def _cmd_degrees(model: ModelFile, cfg: CliConfig) -> dict:
 def _cmd_verify(model: ModelFile, cfg: CliConfig) -> dict:
     sys_, pl = _model_system(model)
     pres = presentation(sys_)
-    report = verify_presentation(
-        sys_, pres, OracleConfig(coordinate_cap=cfg.cap, seed=cfg.seed)
-    )
+    report = verify_presentation(sys_, pres, OracleConfig(coordinate_cap=cfg.cap))
     payload = {"command": "verify", "cap": cfg.cap}
     payload.update(report)
     return _with_rank(payload, pl)
@@ -751,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--cap", type=int, default=3, help="coordinate cap for brute force"
             )
-            sp.add_argument("--seed", type=int, default=0, help="oracle seed")
     return parser
 
 
@@ -782,7 +778,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json=args.json,
             dot=getattr(args, "dot", False),
             cap=getattr(args, "cap", 3),
-            seed=getattr(args, "seed", 0),
         )
         model = parse_model(_read_model_text(args.model))
         out = run_command(args.command, model, cfg)

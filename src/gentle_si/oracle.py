@@ -23,7 +23,6 @@ from .quivers import Arrow, Coloring, Quiver, color_incidence, vertex_colors
 class OracleConfig:
     coordinate_cap: int = 3
     relation_degree_cap: int = 4
-    seed: int = 0
 
 
 def enumerate_points(sys_: MatchingSystem, cap: int) -> list[tuple[int, ...]]:

@@ -234,11 +234,15 @@ def theta(graph: PegGraph, root) -> Root:
 
 @dataclass
 class MatchingSystemExtract:
+    """The extracted system with the components and endpoints it was read from."""
+
     system: MatchingSystem
     string_index: dict[int, tuple[Endpoint, Endpoint]]
     forced_index: dict[int, Endpoint]
     free_arrows: tuple[str, ...]
     band_index: tuple[PegComponent, ...]
+    components: list[PegComponent]
+    endpoint_of: dict[Root, Endpoint]
 
     def as_dict(self) -> dict:
         eqs = []
@@ -267,7 +271,7 @@ def extract_matching_system(
     on both sides of an equation is cancelled; 0 = 0 equations are dropped.
     """
     comps = components(graph)
-    by_root = {ep.root: ep for ep in classify_endpoints(graph, q, c, beta, r)}
+    endpoint_of = {ep.root: ep for ep in classify_endpoints(graph, q, c, beta, r)}
     var_names = sorted(a for a in q.arrow_names() if r[a] > 0)
     equations = []
     string_index: dict[int, tuple[Endpoint, Endpoint]] = {}
@@ -278,12 +282,12 @@ def extract_matching_system(
             bands.append(comp)
             continue
         if comp.kind == "isolated":
-            ep = by_root[comp.roots[0]]
+            ep = endpoint_of[comp.roots[0]]
             if ep.phi:
                 forced_index[len(equations)] = ep
                 equations.append((ep.phi, ()))
             continue
-        e1, e2 = by_root[comp.endpoints[0]], by_root[comp.endpoints[1]]
+        e1, e2 = endpoint_of[comp.endpoints[0]], endpoint_of[comp.endpoints[1]]
         lhs = [a for a in e1.phi if a not in e2.phi]
         rhs = [a for a in e2.phi if a not in e1.phi]
         if not lhs and not rhs:
@@ -301,6 +305,8 @@ def extract_matching_system(
         forced_index=forced_index,
         free_arrows=free,
         band_index=tuple(bands),
+        components=comps,
+        endpoint_of=endpoint_of,
     )
 
 

@@ -8,6 +8,11 @@ components of the representation variety, and the constraints never couple
 different colors, so they are enumerated per color and combined as a
 product.
 
+The admissible set is closed under lowering entries, so a sequence is
+maximal exactly when no single rank can be raised by one: every arrow is
+tight at its tail or at its head. Along a color path this lets the maximal
+tuples be built entry by entry, without visiting the admissible ones.
+
 Dimension vectors and rank sequences are plain dicts (vertex id -> int and
 arrow id -> int).
 """
@@ -119,29 +124,34 @@ def restrict_to_color(
     )
 
 
-def _dominance_maximal(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    out = []
-    for p in points:
-        if any(p != q and all(a <= b for a, b in zip(p, q)) for q in points):
-            continue
-        out.append(p)
-    return out
-
-
 def _color_maximal(beta_path: list[int]) -> list[tuple[int, ...]]:
     """Maximal rank tuples along one path with vertex dimensions beta_path.
 
     The tuple has one entry per arrow; entry i sits between beta_path[i]
     and beta_path[i+1], and consecutive entries share the vertex between
-    them. Paths are short, so the whole box is scanned.
+    them. Entries are chosen left to right. An entry that leaves room at
+    its left vertex must be tight at its right one, so it forces the next
+    entry to fill that vertex. A forced value above the next dimension, or
+    a last entry tight at neither end, ends the branch. Tuples come out in
+    lexicographic order.
     """
     k = len(beta_path) - 1
-    bounds = [min(beta_path[i], beta_path[i + 1]) for i in range(k)]
-    admissible = []
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        if all(combo[i] + combo[i + 1] <= beta_path[i + 1] for i in range(k - 1)):
-            admissible.append(combo)
-    return _dominance_maximal(admissible)
+    out = []
+    # (entries so far, room they leave at the next vertex, next entry forced)
+    stack = [((), beta_path[0], False)]
+    while stack:
+        prefix, room, forced = stack.pop()
+        i = len(prefix)
+        if i == k:
+            if room == 0 or not forced:
+                out.append(prefix)
+            continue
+        nxt = beta_path[i + 1]
+        values = [room] if forced else range(min(room, nxt) + 1)
+        for v in reversed(values):
+            if v <= nxt:
+                stack.append((prefix + (v,), nxt - v, v < room))
+    return out
 
 
 def maximal_rank_sequences(

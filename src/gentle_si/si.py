@@ -24,8 +24,6 @@ from .peg import (
     PegGraph,
     Root,
     build_peg,
-    classify_endpoints,
-    components,
     extract_matching_system,
 )
 from .quivers import Coloring, Incidence, Quiver, color_incidence, vertex_colors
@@ -39,7 +37,11 @@ PartitionMap = dict[str, tuple[int, ...]]
 
 @dataclass
 class PegContext:
-    """Graph, components and extraction for one (beta, r) pair, with lookups."""
+    """Graph, components and extraction for one (beta, r) pair, with lookups.
+
+    arrow_comps maps each arrow a to the components through its tail-side
+    roots at heights 1..r(a)-1, in that order.
+    """
 
     q: Quiver
     c: Coloring
@@ -49,17 +51,17 @@ class PegContext:
     comps: list[PegComponent]
     extract: MatchingSystemExtract
     inc: dict[tuple[str, str], Incidence]
-    comp_of: dict[Root, int]
     endpoint_of: dict[Root, Endpoint]
     band_slot: dict[int, int]
+    arrow_comps: dict[str, tuple[int, ...]]
 
 
 def peg_context(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
 ) -> PegContext:
     graph = build_peg(q, c, beta, r)
-    comps = components(graph)
     extract = extract_matching_system(graph, q, c, beta, r)
+    comps = extract.components
     comp_of = {}
     band_slot = {}
     for idx, cp in enumerate(comps):
@@ -67,11 +69,16 @@ def peg_context(
             comp_of[rt] = idx
         if cp.kind == "band":
             band_slot[idx] = len(band_slot)
-    endpoint_of = {e.root: e for e in classify_endpoints(graph, q, c, beta, r)}
     require(
         len(band_slot) == len(extract.band_index),
         "band count mismatch between components and extraction",
     )
+    arrow_comps = {
+        a.name: tuple(
+            comp_of[Root(a.tail, c.color(a.name), i)] for i in range(1, r[a.name])
+        )
+        for a in q.arrows
+    }
     return PegContext(
         q,
         c,
@@ -81,9 +88,9 @@ def peg_context(
         comps,
         extract,
         color_incidence(q, c),
-        comp_of,
-        endpoint_of,
+        extract.endpoint_of,
         band_slot,
+        arrow_comps,
     )
 
 
@@ -163,23 +170,24 @@ def lambda_from_uy(
     matching system, y gives one value per band and defaults to zero.
     """
     u, y = _check_uy(ctx, u, y)
-    vals = _values_by_component(ctx, u, y)
+    return _partitions(ctx, u, _values_by_component(ctx, u, y))
+
+
+def _partitions(
+    ctx: PegContext, u: tuple[int, ...], vals: Sequence[int]
+) -> PartitionMap:
     sys_ = ctx.extract.system
     lam: PartitionMap = {}
     for a in ctx.q.arrow_names():
-        ra = ctx.r[a]
-        if ra == 0:
+        if ctx.r[a] == 0:
             lam[a] = ()
             continue
-        arrow = ctx.q.arrow(a)
-        s = ctx.c.color(a)
-        ua = u[sys_.var_index(a)]
-        parts = [ua] * ra
-        acc = ua
-        for i in range(ra - 1, 0, -1):
-            acc += vals[ctx.comp_of[Root(arrow.tail, s, i)]]
-            parts[i - 1] = acc
-        lam[a] = tuple(parts)
+        acc = u[sys_.var_index(a)]
+        parts = [acc]
+        for idx in reversed(ctx.arrow_comps[a]):
+            acc += vals[idx]
+            parts.append(acc)
+        lam[a] = tuple(reversed(parts))
     return lam
 
 
@@ -428,7 +436,9 @@ def _translate(
     y: tuple[int, ...],
     gen_bound: int,
 ) -> SiGenerator:
-    lam = lambda_from_uy(ctx, u, y)
+    u, y = _check_uy(ctx, u, y)
+    vals = _values_by_component(ctx, u, y)
+    lam = _partitions(ctx, u, vals)
     deg = generator_degree(lam)
     mem = si_membership(lam, ctx.q, ctx.c, ctx.beta)
     require(
@@ -438,8 +448,7 @@ def _translate(
         deg <= gen_bound,
         f"generator {name} has degree {deg} above the bound {gen_bound}",
     )
-    grade = tuple(_values_by_component(ctx, u, y))
-    return SiGenerator(name, kind, u, y, lam, deg, mem.sigma, grade)
+    return SiGenerator(name, kind, u, y, lam, deg, mem.sigma, tuple(vals))
 
 
 def si_presentation(

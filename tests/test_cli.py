@@ -8,13 +8,17 @@ import io
 import json
 import math
 import pathlib
+import random
+import signal
+import time
 
 import jsonschema
 import pytest
 
-from gentle_si import cli
+from gentle_si import cli, peg, si
 from gentle_si.cli import CliConfig, main, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
+from gentle_si.ranks import is_maximal_rank
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -148,7 +152,9 @@ def test_scaled_running_outputs_match_golden_digest():
     components and derived-rank presentation with beta times 1..4.
     """
     cases = [(cmd, k, True) for cmd in ("presentation", "peg") for k in range(1, 11)]
-    cases += [(cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)]
+    cases += [
+        (cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)
+    ]
     h = hashlib.sha256()
     for cmd, k, ranks in cases:
         model = parse_model(scaled_running(k, ranks))
@@ -253,6 +259,72 @@ def test_segre_relations_are_the_2x2_minors(capsys, tmp_path, n):
         assert side_sum(rel["lhs"]) == side_sum(rel["rhs"])
         fibers.add(side_sum(rel["lhs"]))
     assert len(fibers) == len(rels)
+
+
+# ---------------------------------------------------------------------------
+# quiver side: scale, stage counts, declaration order
+
+def _give_up(signum, frame):
+    raise TimeoutError("components did not finish within 5 s")
+
+
+def test_components_at_fifty_times_the_running_dimensions():
+    """101 maximal rank sequences; the rank box alone has about 2e6 points."""
+    model = parse_model(scaled_running(50, ranks=False))
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        out = run_command("components", model, CliConfig(json=True))
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    seqs = json.loads(out)["maximal_ranks"]
+    assert len(seqs) == 101
+    for r in seqs:
+        assert is_maximal_rank(model.q, model.coloring, model.beta, r)
+
+
+def test_presentation_runs_each_graph_stage_once(monkeypatch):
+    calls = {}
+    stages = ("build_peg", "components", "classify_endpoints", "extract_matching_system")
+    for name in stages:
+        fn = getattr(peg, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (peg, si, cli):
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    model = parse_model((GOLDENS / "running.model").read_text(encoding="utf-8"))
+    out = run_command("presentation", model, CliConfig(json=True))
+    assert out == (GOLDENS / "running_presentation.json").read_text(encoding="utf-8")
+    assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize(
+    "name", ["running.model", "determinant.model", "path.model", "running x3"]
+)
+def test_declaration_order_does_not_change_output(name):
+    """Shuffled declaration lines give byte-identical presentation and components."""
+    if name == "running x3":
+        text = scaled_running(3, ranks=False)
+    else:
+        text = (GOLDENS / name).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    cfg = CliConfig(json=True)
+    for command in ("presentation", "components"):
+        want = run_command(command, parse_model(text), cfg)
+        rng = random.Random(5)
+        for _ in range(30):
+            rng.shuffle(lines)
+            got = run_command(command, parse_model("\n".join(lines) + "\n"), cfg)
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +468,6 @@ def test_verify_quiver_route_carries_rank(capsys):
     assert payload["relations_match"] is True
     assert payload["rank"] == {a: 2 for a in payload["rank"]}
     assert payload["rank_derived"] is False
-
-
-def test_verify_seed_flag_accepted(capsys):
-    code, out, err = run_cli(
-        capsys, "verify", model_path("closing.model"), "--seed", "5"
-    )
-    assert code == 0
-    assert "generators: match" in out
 
 
 def test_color_on_colored_model_echoes(capsys):

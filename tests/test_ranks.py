@@ -1,5 +1,6 @@
 """Tests for rank sequences and maximal-rank enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from gentle_si import oracle
 from gentle_si.errors import InputError
 from gentle_si.quivers import Arrow, Coloring, Quiver
 from gentle_si.ranks import (
+    _color_maximal,
     check_beta,
     is_maximal_rank,
     is_rank_sequence,
@@ -129,6 +131,37 @@ def test_maximal_ranks_zero_dimension_vertex():
     q = Quiver(["1", "2"], [Arrow("a", "1", "2")])
     c = Coloring({"a": "s"})
     assert maximal_rank_sequences(q, c, {"1": 0, "2": 5}) == [{"a": 0}]
+
+
+def _color_maximal_by_box(beta_path):
+    """Reference: every admissible tuple in the rank box, then a dominance filter."""
+    k = len(beta_path) - 1
+    box = [range(min(beta_path[i], beta_path[i + 1]) + 1) for i in range(k)]
+    admissible = [
+        p
+        for p in itertools.product(*box)
+        if all(p[i] + p[i + 1] <= beta_path[i + 1] for i in range(k - 1))
+    ]
+    # only a tuple of larger sum can dominate, and then so does a kept one
+    admissible.sort(key=sum, reverse=True)
+    kept = []
+    for p in admissible:
+        if not any(all(a <= b for a, b in zip(p, q)) for q in kept):
+            kept.append(p)
+    return sorted(kept)
+
+
+def test_color_maximal_matches_box_scan_on_long_paths():
+    """Single color paths of up to 7 arrows with dimensions up to 8."""
+    rng = random.Random(31)
+    lengths = set()
+    for _ in range(120):
+        arrows = rng.randint(1, 7)
+        beta_path = [rng.randint(0, 8) for _ in range(arrows + 1)]
+        assert _color_maximal(beta_path) == _color_maximal_by_box(beta_path)
+        lengths.add(arrows)
+    assert lengths == set(range(1, 8))
+    assert _color_maximal([4]) == [()]
 
 
 @settings(max_examples=50, deadline=None)
