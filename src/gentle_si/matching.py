@@ -424,7 +424,13 @@ def enumerate_strings(graph: MatchingGraph) -> list[Walk]:
 
 
 def enumerate_bands(graph: MatchingGraph) -> list[Walk]:
-    """All closed loop-free alternating walks with row counts at most 2."""
+    """All closed loop-free alternating walks with row counts at most 2.
+
+    Each band is walked from its smallest solid edge only: the walk from
+    start never takes a smaller edge, and it still reaches every band whose
+    edges are all at least start, since it keeps extending past returns to
+    v0.
+    """
     found: dict[tuple, Walk] = {}
     nonloops = [eid for eid, e in enumerate(graph.solid_edges) if not e.is_loop]
 
@@ -452,7 +458,7 @@ def enumerate_bands(graph: MatchingGraph) -> list[Walk]:
                         found[key] = wlk
                 for eid in graph.edges_at(w):
                     e = graph.solid_edges[eid]
-                    if e.is_loop:
+                    if e.is_loop or eid < start:
                         continue
                     z = e.other(w)
                     if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
@@ -633,23 +639,16 @@ def _decompose_first(vectors, target):
     return go(tuple(target), 0)
 
 
-def _cancel_orient(lhs, rhs):
-    """Cancel shared generators, orient the smaller side first.
-
-    Returns None when the sides agree as multisets (a trivial relation).
-    """
+def _cancel(lhs, rhs):
+    """The tuples lhs and rhs less their common multiset part, order kept."""
+    if set(lhs).isdisjoint(rhs):
+        return lhs, rhs
     la, rb = list(lhs), list(rhs)
-    for x in list(la):
+    for x in lhs:
         if x in rb:
             la.remove(x)
             rb.remove(x)
-    if not la and not rb:
-        return None
-    a, b = _msort(la), _msort(rb)
-    require(bool(a) and bool(b), "relation with an empty side")
-    if (len(b), b) < (len(a), a):
-        a, b = b, a
-    return (a, b)
+    return tuple(la), tuple(rb)
 
 
 def _contains(state, sub):
@@ -781,17 +780,23 @@ def _swap_candidates(dec, left, right, provenance, cands):
     """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
 
     p1 < p2 run over left and q1 < q2 over right. Each side decomposition
-    dec(p + q) is computed once per pair and read from a table.
+    dec(p + q) is computed once per pair and read from a table. For fixed
+    q1, q2 the two sides differ by d(p1) - d(p2), where d(p) is the signed
+    multiset dec(p+q1) - dec(p+q2); equal differences give trivial
+    relations, so one relation is formed per pair of distinct differences.
     """
     if len(left) < 2 or len(right) < 2:
         return
     table = [[dec(_vadd(p, q)) for q in right] for p in left]
-    cols = list(itertools.combinations(range(len(right)), 2))
-    for r1, r2 in itertools.combinations(table, 2):
-        for j1, j2 in cols:
-            rel = _cancel_orient(r1[j1] + r2[j2], r1[j2] + r2[j1])
-            if rel is not None:
-                cands.append((rel, provenance))
+    for j1, j2 in itertools.combinations(range(len(right)), 2):
+        diffs = dict.fromkeys(_cancel(row[j1], row[j2]) for row in table)
+        for (pos1, neg1), (pos2, neg2) in itertools.combinations(diffs, 2):
+            a, b = _cancel(pos1 + neg2, neg1 + pos2)
+            require(bool(a) and bool(b), "relation with an empty side")
+            a, b = _msort(a), _msort(b)
+            if (len(b), b) < (len(a), a):
+                a, b = b, a
+            cands.append(((a, b), provenance))
 
 
 def _x_candidates(graph, dec):

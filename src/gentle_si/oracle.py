@@ -57,6 +57,10 @@ def enumerate_points(sys_: MatchingSystem, cap: int) -> list[tuple[int, ...]]:
         u[j] = 0
 
     rec(0)
+    # rec reaches itself through its closure; dropping the name breaks that
+    # cycle, so out is freed with its last user instead of at the next full
+    # garbage collection
+    del rec
     return out
 
 

@@ -26,7 +26,7 @@ from .peg import (
     build_peg,
     extract_matching_system,
 )
-from .quivers import Coloring, Incidence, Quiver, color_incidence, vertex_colors
+from .quivers import Coloring, Incidence, Quiver, color_incidence
 from .ranks import check_beta, is_maximal_rank
 
 PartitionMap = dict[str, tuple[int, ...]]
@@ -236,8 +236,19 @@ def si_membership(
     """
     _check_partitions(q, lam)
     check_beta(q, beta)
-    inc = color_incidence(q, c)
-    touching = vertex_colors(q, c)
+    return _membership(lam, q, beta, color_incidence(q, c))
+
+
+def _membership(
+    lam: PartitionMap,
+    q: Quiver,
+    beta: dict[str, int],
+    inc: dict[tuple[str, str], Incidence],
+) -> MembershipResult:
+    """si_membership on checked inputs, with the color incidence resolved."""
+    touching: dict[str, list[str]] = {}
+    for x, s in inc:
+        touching.setdefault(x, []).append(s)
     sigma: dict[str, int] = {}
     for x in sorted(q.vertices):
         colors = touching.get(x, [])
@@ -440,7 +451,7 @@ def _translate(
     vals = _values_by_component(ctx, u, y)
     lam = _partitions(ctx, u, vals)
     deg = generator_degree(lam)
-    mem = si_membership(lam, ctx.q, ctx.c, ctx.beta)
+    mem = _membership(lam, ctx.q, ctx.beta, ctx.inc)
     require(
         mem.ok, f"generator {name} fails the weight equations at {mem.witness}"
     )

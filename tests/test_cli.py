@@ -15,7 +15,7 @@ import time
 import jsonschema
 import pytest
 
-from gentle_si import cli, peg, si
+from gentle_si import cli, peg, quivers, si
 from gentle_si.cli import CliConfig, main, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.ranks import is_maximal_rank
@@ -305,6 +305,25 @@ def test_presentation_runs_each_graph_stage_once(monkeypatch):
     out = run_command("presentation", model, CliConfig(json=True))
     assert out == (GOLDENS / "running_presentation.json").read_text(encoding="utf-8")
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_presentation_validates_the_coloring_independent_of_size(monkeypatch):
+    """Coloring checks do not repeat per generator: running x1 and x10 agree."""
+    fn = quivers.validate_coloring
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in (quivers, cli):
+        monkeypatch.setattr(mod, "validate_coloring", counted)
+    counts = []
+    for k in (1, 10):
+        runs.clear()
+        run_command("presentation", parse_model(scaled_running(k)), CliConfig(json=True))
+        counts.append(len(runs))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Walk engine: graphs, enumeration, configurations, presentations."""
 
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -21,10 +22,12 @@ from fixtures import (
     eleven_var_system,
     running_system,
 )
-from gentle_si import oracle
-from gentle_si.errors import InputError
+from gentle_si import matching, oracle
+from gentle_si.errors import InputError, require
 from gentle_si.matching import (
+    DOTTED,
     MatchingGraph,
+    Walk,
     _band_canonical,
     _band_orientations,
     build_graph,
@@ -38,6 +41,7 @@ from gentle_si.matching import (
     is_member,
     make_system,
     presentation,
+    _RelationSearch,
     render_walk,
     walk_vector,
 )
@@ -355,3 +359,132 @@ def test_random_presentations_match_golden_digest():
         d = presentation(oracle.random_matching_system(rng)).as_dict()
         h.update((json.dumps(d, sort_keys=True) + "\n").encode("utf-8"))
     assert h.hexdigest() == RANDOM_DIGEST.read_text(encoding="utf-8").split()[0]
+
+
+# ---------------------------------------------------------------------------
+# references for the candidate step and band enumeration
+
+
+def _cancel_orient(lhs, rhs):
+    """Cancel shared generators, orient the smaller side first."""
+    la, rb = list(lhs), list(rhs)
+    for x in list(la):
+        if x in rb:
+            la.remove(x)
+            rb.remove(x)
+    if not la and not rb:
+        return None
+    a, b = tuple(sorted(la)), tuple(sorted(rb))
+    require(bool(a) and bool(b), "relation with an empty side")
+    if (len(b), b) < (len(a), a):
+        a, b = b, a
+    return (a, b)
+
+
+def _quadruple_swap_candidates(dec, left, right, provenance, cands):
+    """One cancelled relation per arm quadruple p1 < p2, q1 < q2."""
+    if len(left) < 2 or len(right) < 2:
+        return
+    table = [[dec(tuple(x + y for x, y in zip(p, q))) for q in right] for p in left]
+    cols = list(itertools.combinations(range(len(right)), 2))
+    for r1, r2 in itertools.combinations(table, 2):
+        for j1, j2 in cols:
+            rel = _cancel_orient(r1[j1] + r2[j2], r1[j2] + r2[j1])
+            if rel is not None:
+                cands.append((rel, provenance))
+
+
+def _bands_from_every_closure(graph):
+    """Every closure of every band walked from each solid edge, canonicalised."""
+    found = {}
+    nonloops = [eid for eid, e in enumerate(graph.solid_edges) if not e.is_loop]
+    for start in nonloops:
+        p, q = graph.solid_edges[start].ends
+        for v0, v1 in ((p, q), (q, p)):
+            fv = {p: 1, q: 1}
+            verts = [v0, v1]
+            edges = [start]
+
+            def extend(cur):
+                w = graph.partner(cur)
+                verts.append(w)
+                edges.append(DOTTED)
+                if w == v0 and len(edges) >= 4:
+                    key, (vv, ee) = _band_canonical(graph, tuple(verts), tuple(edges))
+                    found.setdefault(key, Walk("band", vv, ee))
+                for eid in graph.edges_at(w):
+                    e = graph.solid_edges[eid]
+                    if e.is_loop:
+                        continue
+                    z = e.other(w)
+                    if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
+                        fv[w] = fv.get(w, 0) + 1
+                        fv[z] = fv.get(z, 0) + 1
+                        verts.append(z)
+                        edges.append(eid)
+                        extend(z)
+                        edges.pop()
+                        verts.pop()
+                        fv[z] -= 1
+                        fv[w] -= 1
+                verts.pop()
+                edges.pop()
+
+            extend(v1)
+    return [found[k] for k in sorted(found)]
+
+
+def _reference_systems():
+    yield closing_system()
+    yield eleven_var_system()
+    yield running_system()
+    for seed, count, max_m, max_l in ((12345, 300, 4, 8), (4242, 60, 6, 12)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield oracle.random_matching_system(rng, max_m=max_m, max_l=max_l)
+
+
+def test_candidates_and_bands_match_references(monkeypatch):
+    """One relation per distinct difference pair gives the quadruple scan's
+    candidates, provenance included; bands match canonicalising every closure."""
+    for sys_ in _reference_systems():
+        graph = build_graph(sys_)
+        assert enumerate_bands(graph) == _bands_from_every_closure(graph)
+        gens = generators(graph)
+        got = _RelationSearch(graph, gens).candidates("xh")
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_swap_candidates", _quadruple_swap_candidates)
+            want = _RelationSearch(graph, gens).candidates("xh")
+        assert got == want
+
+
+def test_closing_candidate_step_forms_few_relations(monkeypatch):
+    """closing.model: about a thousand relations formed, not one per quadruple
+    (20,222 quadruples, 10,065 of them non-trivial)."""
+    formed = []
+    swap = matching._swap_candidates
+
+    def counted(dec, left, right, provenance, cands):
+        before = len(cands)
+        swap(dec, left, right, provenance, cands)
+        formed.append(len(cands) - before)
+
+    monkeypatch.setattr(matching, "_swap_candidates", counted)
+    graph = build_graph(closing_system())
+    _RelationSearch(graph, generators(graph)).candidates("xh")
+    assert 0 < sum(formed) <= 1100
+
+
+def test_closing_bands_canonicalise_few_closures(monkeypatch):
+    """Each band is canonicalised from its smallest solid edge only (120 calls
+    when every closure from every edge was)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _band_canonical(*args)
+
+    monkeypatch.setattr(matching, "_band_canonical", counted)
+    bands = enumerate_bands(build_graph(closing_system()))
+    assert len(bands) == 14
+    assert len(calls) <= 40

@@ -1,5 +1,6 @@
 """Brute-force reference implementation, pinned on the worked examples."""
 
+import gc
 import random
 
 import pytest
@@ -37,6 +38,18 @@ def test_enumerate_points_tiny():
     assert pts == sorted(pts)
     for u in pts:
         assert is_member(sys_, u)
+
+
+def test_enumerate_points_leaves_no_cyclic_garbage():
+    """The point list is freed by reference counting once its user drops it."""
+    sys_ = closing_system()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(oracle.enumerate_points(sys_, 2)) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_points_respects_cap():
