@@ -306,12 +306,17 @@ class Walk:
     edges: tuple[int, ...]
 
 
-def walk_vector(graph: MatchingGraph, walk: Walk) -> tuple[int, ...]:
+def _vector(graph: MatchingGraph, edges) -> tuple[int, ...]:
     u = [0] * graph.system.num_vars
-    for e in walk.edges:
+    solid = graph.solid_edges
+    for e in edges:
         if e != DOTTED:
-            u[graph.solid_edges[e].var] += 1
+            u[solid[e].var] += 1
     return tuple(u)
+
+
+def walk_vector(graph: MatchingGraph, walk: Walk) -> tuple[int, ...]:
+    return _vector(graph, walk.edges)
 
 
 def render_walk(graph: MatchingGraph, walk: Walk) -> str:
@@ -370,56 +375,72 @@ def _band_canonical(graph, vertices, edges):
     return best
 
 
+def _extend(graph: MatchingGraph, verts, edges, fv, min_edge, visit) -> None:
+    """Grow an alternating walk from its end, depth first.
+
+    The walk steps to the dotted partner w of its end and calls visit(w)
+    there. It then goes on through every non-loop solid edge at w whose id
+    is at least min_edge and which keeps both row counts in fv at most 2.
+    verts, edges and fv are as they were when this returns.
+    """
+    w = graph.partner(verts[-1])
+    verts.append(w)
+    edges.append(DOTTED)
+    visit(w)
+    if fv.get(w, 0) < 2:
+        for eid in graph.edges_at(w):
+            e = graph.solid_edges[eid]
+            if eid < min_edge or e.is_loop:
+                continue
+            z = e.other(w)
+            if fv.get(z, 0) < 2:
+                fv[w] = fv.get(w, 0) + 1
+                fv[z] = fv.get(z, 0) + 1
+                verts.append(z)
+                edges.append(eid)
+                _extend(graph, verts, edges, fv, min_edge, visit)
+                edges.pop()
+                verts.pop()
+                fv[z] -= 1
+                fv[w] -= 1
+    verts.pop()
+    edges.pop()
+
+
+def _loop_starts(graph: MatchingGraph):
+    """(verts, edges, fv) of the one-edge walk along each loop."""
+    for eid, e in enumerate(graph.solid_edges):
+        if e.is_loop:
+            v0 = e.ends[0]
+            yield [v0, v0], [eid], {v0: 1}
+
+
+def _keep(graph: MatchingGraph, found: dict, kind: str, canonical) -> None:
+    """Store a walk under its canonical key unless that key is present."""
+    key, (vv, ee) = canonical
+    if key not in found:
+        walk = Walk(kind, vv, ee)
+        require(
+            is_member(graph.system, walk_vector(graph, walk)),
+            f"{kind} walk vector fails membership",
+        )
+        found[key] = walk
+
+
 def enumerate_strings(graph: MatchingGraph) -> list[Walk]:
     """All loop-to-loop alternating walks with every row count at most 2."""
     found: dict[tuple, Walk] = {}
-    loops = [eid for eid, e in enumerate(graph.solid_edges) if e.is_loop]
+    for verts, edges, fv in _loop_starts(graph):
 
-    def record(verts, edges):
-        key, (vv, ee) = _string_canonical(graph, verts, edges)
-        if key not in found:
-            w = Walk("string", vv, ee)
-            require(
-                is_member(graph.system, walk_vector(graph, w)),
-                "string walk vector fails membership",
-            )
-            found[key] = w
-
-    for start in loops:
-        v0 = graph.solid_edges[start].ends[0]
-        fv = {v0: 1}
-        verts = [v0, v0]
-        edges = [start]
-
-        def extend(cur):
-            w = graph.partner(cur)
-            verts.append(w)
-            edges.append(DOTTED)
+        def visit(w):
+            if fv.get(w, 0) >= 2:
+                return
             for eid in graph.edges_at(w):
-                e = graph.solid_edges[eid]
-                if e.is_loop:
-                    if fv.get(w, 0) + 1 <= 2:
-                        verts.append(w)
-                        edges.append(eid)
-                        record(list(verts), list(edges))
-                        verts.pop()
-                        edges.pop()
-                else:
-                    z = e.other(w)
-                    if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
-                        fv[w] = fv.get(w, 0) + 1
-                        fv[z] = fv.get(z, 0) + 1
-                        verts.append(z)
-                        edges.append(eid)
-                        extend(z)
-                        edges.pop()
-                        verts.pop()
-                        fv[z] -= 1
-                        fv[w] -= 1
-            verts.pop()
-            edges.pop()
+                if graph.solid_edges[eid].is_loop:
+                    walk = _string_canonical(graph, verts + [w], edges + [eid])
+                    _keep(graph, found, "string", walk)
 
-        extend(v0)
+        _extend(graph, verts, edges, fv, 0, visit)
     return [found[k] for k in sorted(found)]
 
 
@@ -432,54 +453,72 @@ def enumerate_bands(graph: MatchingGraph) -> list[Walk]:
     v0.
     """
     found: dict[tuple, Walk] = {}
-    nonloops = [eid for eid, e in enumerate(graph.solid_edges) if not e.is_loop]
-
-    for start in nonloops:
-        p, q = graph.solid_edges[start].ends
+    for start, e in enumerate(graph.solid_edges):
+        if e.is_loop:
+            continue
+        p, q = e.ends
         for v0, v1 in ((p, q), (q, p)):
-            fv = {p: 1, q: 1}
-            verts = [v0, v1]
-            edges = [start]
+            verts, edges = [v0, v1], [start]
 
-            def extend(cur):
-                w = graph.partner(cur)
-                verts.append(w)
-                edges.append(DOTTED)
+            def visit(w):
                 if w == v0 and len(edges) >= 4:
-                    key, (vv, ee) = _band_canonical(
-                        graph, tuple(verts), tuple(edges)
-                    )
-                    if key not in found:
-                        wlk = Walk("band", vv, ee)
-                        require(
-                            is_member(graph.system, walk_vector(graph, wlk)),
-                            "band walk vector fails membership",
-                        )
-                        found[key] = wlk
-                for eid in graph.edges_at(w):
-                    e = graph.solid_edges[eid]
-                    if e.is_loop or eid < start:
-                        continue
-                    z = e.other(w)
-                    if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
-                        fv[w] = fv.get(w, 0) + 1
-                        fv[z] = fv.get(z, 0) + 1
-                        verts.append(z)
-                        edges.append(eid)
-                        extend(z)
-                        edges.pop()
-                        verts.pop()
-                        fv[z] -= 1
-                        fv[w] -= 1
-                verts.pop()
-                edges.pop()
+                    walk = _band_canonical(graph, tuple(verts), tuple(edges))
+                    _keep(graph, found, "band", walk)
 
-            extend(v1)
+            _extend(graph, verts, edges, {p: 1, q: 1}, start, visit)
     return [found[k] for k in sorted(found)]
+
+
+def _partial_strings(graph: MatchingGraph):
+    """Vectors of loop-started walks ending with a solid edge, by endpoint.
+
+    A second loop would sit in the interior of any string completed through
+    a dotted edge, so these are the string walks cut before their closing
+    loop: at each visit the walk ends with a solid edge at partner(w).
+    """
+    arms: dict[int, set] = {}
+    for verts, edges, fv in _loop_starts(graph):
+
+        def visit(w):
+            arms.setdefault(verts[-2], set()).add(_vector(graph, edges))
+
+        _extend(graph, verts, edges, fv, 0, visit)
+    return arms
+
+
+def _loop_free_walks(graph: MatchingGraph):
+    """Vectors of solid-bounded loop-free walks, keyed by (start, end).
+
+    Each walk from x starts at partner(x) as a virtual end, so its first
+    solid step is taken at x itself.
+    """
+    out: dict[tuple[int, int], set] = {}
+    for x in range(1, 2 * graph.m + 1):
+        verts, edges = [graph.partner(x)], []
+
+        def visit(w):
+            if len(edges) > 1:
+                out.setdefault((x, verts[-2]), set()).add(_vector(graph, edges))
+
+        _extend(graph, verts, edges, {}, 0, visit)
+    return out
 
 
 def _walk_sort_key(graph, w: Walk):
     return (len(w.edges), _tokens(graph, w.vertices, w.edges))
+
+
+def _expressible(v, vecs, memo) -> bool:
+    """Whether v is a sum of the nonzero vectors vecs; memo caches answers."""
+    if not any(v):
+        return True
+    if v not in memo:
+        memo[v] = any(
+            all(gi <= vi for gi, vi in zip(g, v))
+            and _expressible(tuple(vi - gi for vi, gi in zip(v, g)), vecs, memo)
+            for g in vecs
+        )
+    return memo[v]
 
 
 def enumerate_irreducible_walks(
@@ -498,22 +537,6 @@ def enumerate_irreducible_walks(
             best[u] = w
     vecs = set(best)
     memo: dict[tuple, bool] = {}
-
-    def expressible(v):
-        if not any(v):
-            return True
-        if v in memo:
-            return memo[v]
-        memo[v] = False
-        ok = False
-        for g in vecs:
-            if all(gi <= vi for gi, vi in zip(g, v)):
-                if expressible(tuple(vi - gi for vi, gi in zip(v, g))):
-                    ok = True
-                    break
-        memo[v] = ok
-        return ok
-
     out = []
     for u in sorted(vecs, key=lambda v: (sum(v), v)):
         reducible = False
@@ -522,7 +545,7 @@ def enumerate_irreducible_walks(
                 continue
             if all(gi <= ui for gi, ui in zip(g, u)):
                 rest = tuple(ui - gi for ui, gi in zip(u, g))
-                if any(rest) and expressible(rest):
+                if any(rest) and _expressible(rest, vecs, memo):
                     reducible = True
                     break
         if not reducible:
@@ -622,21 +645,17 @@ def _side_vector(vectors, side, n):
     return tuple(u)
 
 
-def _decompose_first(vectors, target):
-    """One expression of target as a sum of the given vectors, by index."""
-
-    def go(rem, start):
-        if not any(rem):
-            return ()
-        for i in range(start, len(vectors)):
-            g = vectors[i]
-            if all(gi <= ri for gi, ri in zip(g, rem)):
-                sub = go(tuple(ri - gi for ri, gi in zip(rem, g)), i)
-                if sub is not None:
-                    return (i,) + sub
-        return None
-
-    return go(tuple(target), 0)
+def _decompose_first(vectors, rem, start=0):
+    """One expression of rem as a sum of vectors[start:], by index."""
+    if not any(rem):
+        return ()
+    for i in range(start, len(vectors)):
+        g = vectors[i]
+        if all(gi <= ri for gi, ri in zip(g, rem)):
+            sub = _decompose_first(vectors, tuple(ri - gi for ri, gi in zip(rem, g)), i)
+            if sub is not None:
+                return (i,) + sub
+    return None
 
 
 def _cancel(lhs, rhs):
@@ -710,72 +729,6 @@ class _Congruence:
         return False
 
 
-def _partial_strings(graph: MatchingGraph):
-    """Vectors of loop-started walks ending with a solid edge, by endpoint.
-
-    A second loop would sit in the interior of any string completed through
-    a dotted edge, so continuations use non-loop edges only.
-    """
-    arms: dict[int, set] = {}
-    nv = graph.system.num_vars
-    loops = [eid for eid, e in enumerate(graph.solid_edges) if e.is_loop]
-    for start in loops:
-        v0 = graph.solid_edges[start].ends[0]
-        fv = {v0: 1}
-        vec = [0] * nv
-        vec[graph.solid_edges[start].var] += 1
-        arms.setdefault(v0, set()).add(tuple(vec))
-
-        def extend(cur):
-            w = graph.partner(cur)
-            for eid in graph.edges_at(w):
-                e = graph.solid_edges[eid]
-                if e.is_loop:
-                    continue
-                z = e.other(w)
-                if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
-                    fv[w] = fv.get(w, 0) + 1
-                    fv[z] = fv.get(z, 0) + 1
-                    vec[e.var] += 1
-                    arms.setdefault(z, set()).add(tuple(vec))
-                    extend(z)
-                    vec[e.var] -= 1
-                    fv[z] -= 1
-                    fv[w] -= 1
-
-        extend(v0)
-    return arms
-
-
-def _loop_free_walks(graph: MatchingGraph):
-    """Vectors of solid-bounded loop-free walks, keyed by (start, end)."""
-    out: dict[tuple[int, int], set] = {}
-    nv = graph.system.num_vars
-    for x in range(1, 2 * graph.m + 1):
-        fv: dict[int, int] = {}
-        vec = [0] * nv
-
-        def extend(cur, first):
-            w = cur if first else graph.partner(cur)
-            for eid in graph.edges_at(w):
-                e = graph.solid_edges[eid]
-                if e.is_loop:
-                    continue
-                z = e.other(w)
-                if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
-                    fv[w] = fv.get(w, 0) + 1
-                    fv[z] = fv.get(z, 0) + 1
-                    vec[e.var] += 1
-                    out.setdefault((x, z), set()).add(tuple(vec))
-                    extend(z, False)
-                    vec[e.var] -= 1
-                    fv[z] -= 1
-                    fv[w] -= 1
-
-        extend(x, True)
-    return out
-
-
 def _swap_candidates(dec, left, right, provenance, cands):
     """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
 
@@ -830,90 +783,59 @@ def _h_candidates(graph, dec):
     return cands
 
 
-class _RelationSearch:
-    """Shared state for relation discovery over a fixed generator list."""
+def _decomposer(gens: list[Generator]):
+    """dec(target): target as a sum of non-free generators, by generator index.
 
-    def __init__(self, graph: MatchingGraph, gens: list[Generator]):
-        self.graph = graph
-        self.sys = graph.system
-        self.gens = gens
-        self.vectors = [g.vector for g in gens]
-        self.searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
-        self.svecs = [self.vectors[i] for i in self.searchable]
-        self._dec_cache: dict[tuple, tuple] = {}
+    Each target is decomposed once and then read from a local cache.
+    """
+    searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
+    svecs = [gens[i].vector for i in searchable]
+    cache: dict[tuple, tuple] = {}
 
-    def dec(self, target):
-        if target not in self._dec_cache:
-            local = _decompose_first(self.svecs, target)
+    def dec(target):
+        if target not in cache:
+            local = _decompose_first(svecs, target)
             require(
                 local is not None,
                 "configuration side does not decompose into generators",
             )
-            self._dec_cache[target] = tuple(self.searchable[i] for i in local)
-        return self._dec_cache[target]
+            cache[target] = tuple(searchable[i] for i in local)
+        return cache[target]
 
-    def side_sum(self, side):
-        return _side_vector(self.vectors, side, self.sys.num_vars)
-
-    def candidates(self, which: str):
-        """Distinct candidate relations ordered by (total, vector) of their sides.
-
-        A relation can only rewrite multisets whose sum dominates its side
-        sum, so this order presents each fiber after every fiber below it.
-        """
-        cands = []
-        if "x" in which:
-            cands += _x_candidates(self.graph, self.dec)
-        if "h" in which:
-            cands += _h_candidates(self.graph, self.dec)
-        first: dict[tuple, str] = {}
-        for rel, prov in cands:
-            first.setdefault(rel, prov)
-        ordered = []
-        for rel, prov in first.items():
-            v = self.side_sum(rel[0])
-            ordered.append(((sum(v), v, rel), rel, prov))
-        ordered.sort()
-        return [(rel, prov) for _, rel, prov in ordered]
-
-    def to_relations(self, kept, prov_of):
-        out = []
-        for rel in kept:
-            out.append(
-                Relation(
-                    lhs=tuple(self.gens[i].name for i in rel[0]),
-                    rhs=tuple(self.gens[i].name for i in rel[1]),
-                    provenance=prov_of[rel],
-                )
-            )
-        return out
+    return dec
 
 
-def _config_relations(graph: MatchingGraph, gens, which: str):
-    """Configuration candidates kept greedily unless the kept ones imply them."""
-    if gens is None:
-        gens = generators(graph)
-    search = _RelationSearch(graph, gens)
+def _prune(cands, gens: list[Generator], num_vars: int) -> list[Relation]:
+    """Distinct candidates kept greedily unless the kept ones imply them.
+
+    Candidates are taken in order of (total, vector) of their side sums. A
+    relation can only rewrite multisets whose sum dominates its side sum, so
+    this order presents each fiber after every fiber below it. A relation
+    formed more than once keeps its first provenance.
+    """
+    vectors = [g.vector for g in gens]
+    first: dict[tuple, str] = {}
+    for rel, prov in cands:
+        first.setdefault(rel, prov)
+    ordered = []
+    for rel, prov in first.items():
+        v = _side_vector(vectors, rel[0], num_vars)
+        ordered.append(((sum(v), v, rel), prov))
+    ordered.sort()
     congruence = _Congruence()
-    kept = []
-    prov_of = {}
-    for rel, prov in search.candidates(which):
+    out = []
+    for (_, _, rel), prov in ordered:
         if congruence.implies(*rel):
             continue
         congruence.add(rel)
-        kept.append(rel)
-        prov_of[rel] = prov
-    return search.to_relations(kept, prov_of)
-
-
-def find_x_configurations(graph: MatchingGraph, gens=None) -> list[Relation]:
-    """Relations from swapping partial strings across one dotted edge."""
-    return _config_relations(graph, gens, "x")
-
-
-def find_h_configurations(graph: MatchingGraph, gens=None) -> list[Relation]:
-    """Relations from recombining loop-free walks between two dotted edges."""
-    return _config_relations(graph, gens, "h")
+        out.append(
+            Relation(
+                lhs=tuple(gens[i].name for i in rel[0]),
+                rhs=tuple(gens[i].name for i in rel[1]),
+                provenance=prov,
+            )
+        )
+    return out
 
 
 # the reported relation_cap never drops below the oracle's default
@@ -933,7 +855,9 @@ def presentation(sys_: MatchingSystem) -> Presentation:
     """
     graph = build_graph(sys_)
     gens = generators(graph)
-    relations = _config_relations(graph, gens, "xh")
+    dec = _decomposer(gens)
+    cands = _x_candidates(graph, dec) + _h_candidates(graph, dec)
+    relations = _prune(cands, gens, sys_.num_vars)
     vector = {g.name: g.vector for g in gens}
     cap = RELATION_CAP_FLOOR
     for rel in relations:

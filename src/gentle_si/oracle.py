@@ -173,6 +173,8 @@ def decompositions(
                 acc.pop()
 
     rec(tuple(v), 0)
+    # as in enumerate_points: rec reaches itself through its closure
+    del rec
     return sorted(out)
 
 

@@ -42,10 +42,10 @@ def check_beta(q: Quiver, beta: dict[str, int]) -> None:
             )
 
 
-def rank_violations(
+def _slack(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
-) -> list[tuple[str, str]]:
-    """The (vertex, color) pairs where r(in) + r(out) exceeds beta."""
+) -> dict[tuple[str, str], int]:
+    """beta(x) - r(in) - r(out) at each (vertex x, color) the color touches."""
     check_beta(q, beta)
     for a in q.arrow_names():
         if a not in r:
@@ -54,12 +54,17 @@ def rank_violations(
             raise InputError(
                 f"rank at {a} must be a nonnegative integer, got {r[a]!r}"
             )
-    bad = []
-    for (x, s), inc in color_incidence(q, c).items():
-        used = r.get(inc.in_arrow, 0) + r.get(inc.out_arrow, 0)
-        if used > beta[x]:
-            bad.append((x, s))
-    return bad
+    return {
+        (x, s): beta[x] - r.get(inc.in_arrow, 0) - r.get(inc.out_arrow, 0)
+        for (x, s), inc in color_incidence(q, c).items()
+    }
+
+
+def rank_violations(
+    q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
+) -> list[tuple[str, str]]:
+    """The (vertex, color) pairs where r(in) + r(out) exceeds beta."""
+    return [key for key, slack in _slack(q, c, beta, r).items() if slack < 0]
 
 
 def is_rank_sequence(
@@ -75,16 +80,17 @@ def is_maximal_rank(
 
     Every constraint is an upper bound on a sum of ranks, so the admissible
     set is closed under lowering coordinates and r is maximal exactly when
-    no single rank can be raised by one.
+    no single rank can be raised by one: every arrow is tight at its tail
+    or at its head. Quivers have no loops, so raising one rank adds one to
+    each of those two sums and to no other.
     """
-    if not is_rank_sequence(q, c, beta, r):
+    slack = _slack(q, c, beta, r)
+    if min(slack.values(), default=0) < 0:
         raise InputError("not an admissible rank sequence")
-    for a in q.arrow_names():
-        bumped = dict(r)
-        bumped[a] += 1
-        if is_rank_sequence(q, c, beta, bumped):
-            return False
-    return True
+    return all(
+        slack[a.tail, c.color(a.name)] == 0 or slack[a.head, c.color(a.name)] == 0
+        for a in q.arrows
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Walk engine: graphs, enumeration, configurations, presentations."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -30,18 +31,19 @@ from gentle_si.matching import (
     Walk,
     _band_canonical,
     _band_orientations,
+    _decomposer,
+    _h_candidates,
+    _prune,
+    _x_candidates,
     build_graph,
     enumerate_bands,
     enumerate_irreducible_walks,
     enumerate_strings,
-    find_h_configurations,
-    find_x_configurations,
     forced_zero_vars,
     generators,
     is_member,
     make_system,
     presentation,
-    _RelationSearch,
     render_walk,
     walk_vector,
 )
@@ -250,12 +252,17 @@ def test_generator_entries_and_fvalues_capped_at_two(
             assert max(p.system.fprofile(g.vector), default=0) <= 2
 
 
-def test_find_x_closing_contains_swap_relation():
-    g = build_graph(closing_system())
+def _pruned(form, sys_):
+    """The relations one candidate kind keeps on its own, and the generators."""
+    g = build_graph(sys_)
     gens = generators(g)
+    return _prune(form(g, _decomposer(gens)), gens, sys_.num_vars), gens
+
+
+def test_find_x_closing_contains_swap_relation():
+    rels, gens = _pruned(_x_candidates, closing_system())
     byname = {x.name: x.vector for x in gens}
     label = {v: k for k, v in CLOSING_GENERATORS.items()}
-    rels = find_x_configurations(g, gens)
     assert rels, "no X-configuration found"
     as_labels = [
         {
@@ -270,11 +277,9 @@ def test_find_x_closing_contains_swap_relation():
 
 
 def test_find_h_closing_is_band_swap():
-    g = build_graph(closing_system())
-    gens = generators(g)
+    rels, gens = _pruned(_h_candidates, closing_system())
     byname = {x.name: x.vector for x in gens}
     label = {v: k for k, v in CLOSING_GENERATORS.items()}
-    rels = find_h_configurations(g, gens)
     assert len(rels) == 1
     r = rels[0]
     sides = {
@@ -287,16 +292,29 @@ def test_find_h_closing_is_band_swap():
 
 def test_configuration_relations_lie_in_kernel():
     sys_ = closing_system()
-    g = build_graph(sys_)
-    gens = generators(g)
+    xrels, gens = _pruned(_x_candidates, sys_)
+    hrels, _ = _pruned(_h_candidates, sys_)
     byname = {x.name: x.vector for x in gens}
     ogens = oracle.minimal_generators_bruteforce(sys_)
     orels = oracle.toric_relations_bruteforce(ogens, 4, system=sys_)
     idx = {v: i for i, v in enumerate(ogens)}
-    for r in find_x_configurations(g, gens) + find_h_configurations(g, gens):
+    for r in xrels + hrels:
         lhs = tuple(sorted(idx[byname[n]] for n in r.lhs))
         rhs = tuple(sorted(idx[byname[n]] for n in r.rhs))
         assert oracle.congruent(ogens, orels, lhs, rhs), (r.lhs, r.rhs)
+
+
+def test_presentation_leaves_no_cyclic_garbage():
+    """Walk tables and decomposition caches are freed by reference counting,
+    not left for the next full garbage collection."""
+    sys_ = closing_system()
+    gc.collect()
+    gc.disable()
+    try:
+        assert presentation(sys_).relations
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_membership_rejects_wrong_length():
@@ -444,6 +462,16 @@ def _reference_systems():
             yield oracle.random_matching_system(rng, max_m=max_m, max_l=max_l)
 
 
+def _distinct_candidates(graph, gens):
+    """Each distinct X/H candidate relation with the provenance it is first
+    formed with; the pruning step orders exactly these."""
+    dec = _decomposer(gens)
+    first = {}
+    for rel, prov in _x_candidates(graph, dec) + _h_candidates(graph, dec):
+        first.setdefault(rel, prov)
+    return first
+
+
 def test_candidates_and_bands_match_references(monkeypatch):
     """One relation per distinct difference pair gives the quadruple scan's
     candidates, provenance included; bands match canonicalising every closure."""
@@ -451,10 +479,10 @@ def test_candidates_and_bands_match_references(monkeypatch):
         graph = build_graph(sys_)
         assert enumerate_bands(graph) == _bands_from_every_closure(graph)
         gens = generators(graph)
-        got = _RelationSearch(graph, gens).candidates("xh")
+        got = _distinct_candidates(graph, gens)
         with monkeypatch.context() as m:
             m.setattr(matching, "_swap_candidates", _quadruple_swap_candidates)
-            want = _RelationSearch(graph, gens).candidates("xh")
+            want = _distinct_candidates(graph, gens)
         assert got == want
 
 
@@ -471,7 +499,7 @@ def test_closing_candidate_step_forms_few_relations(monkeypatch):
 
     monkeypatch.setattr(matching, "_swap_candidates", counted)
     graph = build_graph(closing_system())
-    _RelationSearch(graph, generators(graph)).candidates("xh")
+    _distinct_candidates(graph, generators(graph))
     assert 0 < sum(formed) <= 1100
 
 

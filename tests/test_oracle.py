@@ -41,15 +41,24 @@ def test_enumerate_points_tiny():
 
 
 def test_enumerate_points_leaves_no_cyclic_garbage():
-    """The point list is freed by reference counting once its user drops it."""
+    """The point list, and the multiset list of decompositions, are freed by
+    reference counting once their user drops them."""
     sys_ = closing_system()
-    gc.collect()
-    gc.disable()
-    try:
-        assert len(oracle.enumerate_points(sys_, 2)) > 1
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    gens = sorted(CLOSING_GENERATORS.values())
+    # Y1 + Y2 = X1 + X2 + B1, so it has at least two decompositions
+    target = tuple(map(sum, zip(CLOSING_GENERATORS["Y1"], CLOSING_GENERATORS["Y2"])))
+    calls = [
+        lambda: oracle.enumerate_points(sys_, 2),
+        lambda: oracle.decompositions(gens, target),
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(call()) > 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_enumerate_points_respects_cap():

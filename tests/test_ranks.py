@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fixtures import path_example, running_example
 
-from gentle_si import oracle
+from gentle_si import oracle, quivers
 from gentle_si.errors import InputError
 from gentle_si.quivers import Arrow, Coloring, Quiver
 from gentle_si.ranks import (
@@ -182,6 +182,23 @@ def test_is_maximal_rank_on_running_example():
     assert not is_maximal_rank(q, c, beta, dict(r, b2=1))
     with pytest.raises(InputError):
         is_maximal_rank(q, c, beta, dict(r, b2=5))
+
+
+def test_is_maximal_rank_validates_the_coloring_once(monkeypatch):
+    """Admissibility and tightness read one color incidence, not one per arrow."""
+    fn = quivers.validate_coloring
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(quivers, "validate_coloring", counted)
+    q, c, beta, r = running_example()
+    for cand, maximal in ((r, True), (dict(r, b2=1), False)):
+        runs.clear()
+        assert is_maximal_rank(q, c, beta, cand) == maximal
+        assert len(runs) <= 1
 
 
 @settings(max_examples=30, deadline=None)
