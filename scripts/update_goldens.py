@@ -29,7 +29,7 @@ CASES = [
     ("running_components.json", ["components", "running.model", "--json"]),
     ("path_components.json", ["components", "path.model", "--json"]),
     ("closing_generators.json", ["generators", "closing.model", "--json"]),
-    ("closing_verify.json", ["verify", "closing.model", "--cap", "3", "--json"]),
+    ("closing_verify.json", ["verify", "closing.model", "--json"]),
     ("cover_report.json", ["cover", "cover.model", "--json"]),
     ("closing_relations.json", ["relations", "closing.model", "--json"]),
 ]

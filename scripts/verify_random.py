@@ -4,7 +4,7 @@ Samples matching systems, presents each with the walk engine and replays
 the result through the independent enumeration oracle. Any disagreement
 prints its witnesses and fails the run.
 
-Usage: python scripts/verify_random.py [--count N] [--seed S] [--cap C]
+Usage: python scripts/verify_random.py [--count N] [--seed S]
 """
 
 from __future__ import annotations
@@ -15,22 +15,17 @@ import sys
 import time
 
 from gentle_si.matching import presentation
-from gentle_si.oracle import (
-    OracleConfig,
-    random_matching_system,
-    verify_presentation,
-)
+from gentle_si.oracle import random_matching_system, verify_presentation
 
 
-def run(count: int, seed: int, cap: int, max_m: int, max_l: int) -> int:
+def run(count: int, seed: int, max_m: int, max_l: int) -> int:
     rng = random.Random(seed)
-    cfg = OracleConfig(coordinate_cap=cap)
     start = time.perf_counter()
     failures = 0
     for k in range(1, count + 1):
         sys_ = random_matching_system(rng, max_m=max_m, max_l=max_l)
         pres = presentation(sys_)
-        report = verify_presentation(sys_, pres, cfg)
+        report = verify_presentation(sys_, pres)
         if report["generators_match"] and report["relations_match"]:
             continue
         failures += 1
@@ -42,7 +37,7 @@ def run(count: int, seed: int, cap: int, max_m: int, max_l: int) -> int:
     elapsed = time.perf_counter() - start
     print(
         f"{count - failures}/{count} systems agree with the oracle"
-        f" ({elapsed:.1f}s, seed {seed}, cap {cap})"
+        f" ({elapsed:.1f}s, seed {seed})"
     )
     return 1 if failures else 0
 
@@ -51,11 +46,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=3)
     ap.add_argument("--max-m", type=int, default=4)
     ap.add_argument("--max-l", type=int, default=8)
     args = ap.parse_args()
-    return run(args.count, args.seed, args.cap, args.max_m, args.max_l)
+    return run(args.count, args.seed, args.max_m, args.max_l)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from .matching import (
     presentation,
     validate_system,
 )
-from .oracle import OracleConfig, verify_presentation
+from .oracle import verify_presentation
 from .peg import export_dot
 from .quivers import (
     Arrow,
@@ -78,7 +78,6 @@ _SYSTEM_DIRECTIVES = {"eq", "var"}
 class CliConfig:
     json: bool = False
     dot: bool = False
-    cap: int = 3
 
 
 @dataclass
@@ -545,9 +544,7 @@ def _cmd_degrees(model: ModelFile, cfg: CliConfig) -> dict:
 def _cmd_verify(model: ModelFile, cfg: CliConfig) -> dict:
     sys_, pl = _model_system(model)
     pres = presentation(sys_)
-    report = verify_presentation(sys_, pres, OracleConfig(coordinate_cap=cfg.cap))
-    payload = {"command": "verify", "cap": cfg.cap}
-    payload.update(report)
+    payload = {"command": "verify", **verify_presentation(sys_, pres)}
     return _with_rank(payload, pl)
 
 
@@ -744,10 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit JSON")
         if name == "peg":
             sp.add_argument("--dot", action="store_true", help="emit DOT")
-        if name == "verify":
-            sp.add_argument(
-                "--cap", type=int, default=3, help="coordinate cap for brute force"
-            )
     return parser
 
 
@@ -777,7 +770,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = CliConfig(
             json=args.json,
             dot=getattr(args, "dot", False),
-            cap=getattr(args, "cap", 3),
         )
         model = parse_model(_read_model_text(args.model))
         out = run_command(args.command, model, cfg)

@@ -33,7 +33,6 @@ class ValidationReport:
     """
 
     violations: list[tuple[str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -51,5 +50,4 @@ class ValidationReport:
             "violations": [
                 {"tag": t, "description": d} for t, d in self.violations
             ],
-            "notes": list(self.notes),
         }

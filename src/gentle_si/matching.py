@@ -838,8 +838,8 @@ def _prune(cands, gens: list[Generator], num_vars: int) -> list[Relation]:
     return out
 
 
-# the reported relation_cap never drops below the oracle's default
-# relation_degree_cap, so a verify run checks at least that far
+# the reported relation_cap never drops below the oracle's
+# RELATION_DEGREE_FLOOR, so a verify run checks at least that far
 RELATION_CAP_FLOOR = 4
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError, require
@@ -19,10 +18,10 @@ from .matching import MatchingSystem, system_from_rows
 from .quivers import Arrow, Coloring, Quiver, color_incidence, vertex_colors
 
 
-@dataclass
-class OracleConfig:
-    coordinate_cap: int = 3
-    relation_degree_cap: int = 4
+# box size of the generator scan, reported by verify as "cap"
+COORDINATE_CAP = 3
+# verify checks fibers up to at least this row count, whatever the engine reports
+RELATION_DEGREE_FLOOR = 4
 
 
 def enumerate_points(sys_: MatchingSystem, cap: int) -> list[tuple[int, ...]]:
@@ -252,35 +251,23 @@ def _classes(
 def reachable_sums(
     gens: Sequence[tuple[int, ...]],
     degree_cap: int,
-    system: Optional[MatchingSystem] = None,
+    system: MatchingSystem,
 ) -> list[tuple[int, ...]]:
-    """Nonzero sums of generator multisets inside the degree bound.
+    """Nonzero sums of generator multisets with every equation side at most
+    degree_cap.
 
-    With a system the bound caps every equation side count of the sum;
-    without one it caps the total coordinate sum. Generators supported only
-    on zero columns never enter a relation (their multiplicity is pinned by
-    the free coordinates of the sum), and with a system they would make the
-    capped region infinite, so they are left out of the walk.
+    Generators supported only on zero columns never enter a relation (their
+    multiplicity is pinned by the free coordinates of the sum), and they
+    would make the capped region infinite, so they are left out of the walk.
     """
-    gens = [tuple(g) for g in gens]
-    if system is not None:
-        gens = [g for g in gens if any(system.fprofile(g))]
+    gens = [tuple(g) for g in gens if any(system.fprofile(g))]
     if not gens:
         return []
     width = len(gens[0])
     zero = tuple([0] * width)
 
-    if system is not None:
-
-        def in_domain(v: tuple[int, ...]) -> bool:
-            return all(
-                system.fvalue(i, v) <= degree_cap for i in range(2 * system.m)
-            )
-
-    else:
-
-        def in_domain(v: tuple[int, ...]) -> bool:
-            return sum(v) <= degree_cap
+    def in_domain(v: tuple[int, ...]) -> bool:
+        return all(system.fvalue(i, v) <= degree_cap for i in range(2 * system.m))
 
     seen = {zero}
     frontier = [zero]
@@ -300,7 +287,7 @@ def reachable_sums(
 def toric_relations_bruteforce(
     gens: Sequence[tuple[int, ...]],
     degree_cap: int,
-    system: Optional[MatchingSystem] = None,
+    system: MatchingSystem,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A minimal list of binomial relations among the generators.
 
@@ -327,21 +314,6 @@ def toric_relations_bruteforce(
             require(bool(lhs) and bool(rhs), "trivial relation reached the fiber join")
             relations.append(_orient(lhs, rhs))
     return relations
-
-
-def relations_generate_same_congruence(
-    gens: Sequence[tuple[int, ...]],
-    rels_a: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-    rels_b: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> bool:
-    """Mutual implication: each listed relation follows from the other list."""
-    for lhs, rhs in rels_a:
-        if not congruent(gens, rels_b, lhs, rhs):
-            return False
-    for lhs, rhs in rels_b:
-        if not congruent(gens, rels_a, lhs, rhs):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +459,24 @@ def random_colored_quiver(
     return Quiver(vertices, arrows), Coloring(color_of)
 
 
-def verify_presentation(
-    sys_: MatchingSystem, pres, config: Optional[OracleConfig] = None
-) -> dict:
+def verify_presentation(sys_: MatchingSystem, pres) -> dict:
     """Check an engine presentation against brute force.
 
     pres needs .generators (objects with .name and .vector), .relations
-    (objects with .lhs/.rhs name tuples) and .relation_cap. Generators are
-    compared as vector sets; relations must generate the same congruence as
-    the brute-force kernel over the row-count domain given by the larger of
-    the two caps. Returns the report dict; witnesses list each discrepancy.
+    (objects with .lhs/.rhs name tuples) and .relation_cap. The generators
+    must equal the box scan's minimal generators as a vector set. The
+    relations are right exactly when both sides of each have the same sum
+    and every fiber (all generator multisets with one sum) is connected by
+    the relation moves: the fundamental theorem of Markov bases. Fibers are
+    checked for every reachable sum with no equation side above the larger
+    of relation_cap and RELATION_DEGREE_FLOOR; the fiber pass runs only when
+    every relation is balanced, since an unbalanced move leaves its fiber.
+    Returns the report dict; witnesses list each discrepancy.
     """
-    cfg = config or OracleConfig()
     witnesses: list[str] = []
+    relation_cap = max(RELATION_DEGREE_FLOOR, pres.relation_cap)
 
-    ogens = minimal_generators_bruteforce(sys_, cap=cfg.coordinate_cap)
+    ogens = minimal_generators_bruteforce(sys_, cap=COORDINATE_CAP)
     evecs = sorted(g.vector for g in pres.generators)
     generators_match = evecs == ogens
     if not generators_match:
@@ -514,8 +489,6 @@ def verify_presentation(
 
     relations_match = False
     if generators_match:
-        cap = max(cfg.relation_degree_cap, pres.relation_cap)
-        orels = toric_relations_bruteforce(ogens, cap, system=sys_)
         idx = {v: i for i, v in enumerate(ogens)}
         byname = {g.name: g.vector for g in pres.generators}
         try:
@@ -528,20 +501,21 @@ def verify_presentation(
             ]
         except KeyError as missing:
             raise InputError(f"relation names unknown generator {missing}")
-        relations_match = True
         for lhs, rhs in erels:
-            if not congruent(ogens, orels, lhs, rhs):
-                relations_match = False
-                witnesses.append(
-                    "engine relation outside the oracle congruence: "
-                    f"{lhs} ~ {rhs}"
-                )
-        for lhs, rhs in orels:
-            if not congruent(ogens, erels, lhs, rhs):
-                relations_match = False
-                witnesses.append(
-                    f"oracle relation not implied by engine: {lhs} ~ {rhs}"
-                )
+            if _vector_sum(ogens, lhs) != _vector_sum(ogens, rhs):
+                witnesses.append(f"engine relation sides differ in sum: {lhs} ~ {rhs}")
+        if not witnesses:
+            for v in reachable_sums(ogens, relation_cap, sys_):
+                decs = decompositions(ogens, v)
+                if len(decs) < 2:
+                    continue
+                classes = _classes(decs, erels)
+                if len(classes) > 1:
+                    witnesses.append(
+                        f"fiber {v} not connected by engine relations: "
+                        f"{classes[0][0]} ~ {classes[1][0]}"
+                    )
+        relations_match = not witnesses
     else:
         witnesses.append("relation comparison skipped: generator sets differ")
 
@@ -550,8 +524,8 @@ def verify_presentation(
             "m": sys_.m,
             "var_names": list(sys_.var_names),
         },
-        "cap": cfg.coordinate_cap,
-        "relation_cap": max(cfg.relation_degree_cap, pres.relation_cap),
+        "cap": COORDINATE_CAP,
+        "relation_cap": relation_cap,
         "generators_match": generators_match,
         "relations_match": relations_match,
         "witnesses": witnesses,

@@ -9,6 +9,8 @@ import json
 import math
 import pathlib
 import random
+import re
+import shlex
 import signal
 import time
 
@@ -29,7 +31,7 @@ GOLDEN_CASES = [
     ("running_components.json", ("components", "running.model", "--json")),
     ("path_components.json", ("components", "path.model", "--json")),
     ("closing_generators.json", ("generators", "closing.model", "--json")),
-    ("closing_verify.json", ("verify", "closing.model", "--cap", "3", "--json")),
+    ("closing_verify.json", ("verify", "closing.model", "--json")),
     ("cover_report.json", ("cover", "cover.model", "--json")),
     ("closing_relations.json", ("relations", "closing.model", "--json")),
 ]
@@ -259,6 +261,27 @@ def test_segre_relations_are_the_2x2_minors(capsys, tmp_path, n):
         assert side_sum(rel["lhs"]) == side_sum(rel["rhs"])
         fibers.add(side_sum(rel["lhs"]))
     assert len(fibers) == len(rels)
+
+
+def readme_commands():
+    """Every gentle-si line of README's sh blocks, as argument lists."""
+    text = (GOLDENS.parent.parent / "README.md").read_text(encoding="utf-8")
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gentle-si"]:
+                out.append(words[1 : words.index(">")] if ">" in words else words[1:])
+    return out
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDENS.parent.parent)
+    commands = readme_commands()
+    assert len(commands) >= 4
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 # ---------------------------------------------------------------------------

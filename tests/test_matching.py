@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -338,6 +339,38 @@ def test_presentation_as_dict_shape(running_pres):
     for g in d["generators"]:
         assert g["kind"] in {"string", "band", "free"}
         assert "walk" in g
+
+
+@pytest.mark.parametrize("k,w", [(3, 2), (4, 2), (3, 3)])
+def test_chained_system_closed_form(k, w):
+    """chain(k, w): equation i reads u(i,1) + ... + u(i,w) = u(i+1,1) + ...
+    + u(i+1,w). Its ring is the Segre product of k + 1 polynomial rings in w
+    variables, so it has N = w^(k+1) generators, one variable per group, and
+    C(N+1, 2) - C(w+1, 2)^(k+1) relations, all balanced and quadratic.
+    """
+    group = [[f"u{i}_{j}" for j in range(1, w + 1)] for i in range(1, k + 2)]
+    sys_ = make_system([(group[i], group[i + 1]) for i in range(k)])
+    p = presentation(sys_)
+
+    n = w ** (k + 1)
+    assert len(p.generators) == n
+    want = set()
+    for pick in itertools.product(range(w), repeat=k + 1):
+        u = [0] * (w * (k + 1))
+        for i, j in enumerate(pick):
+            u[sys_.var_names.index(group[i][j])] = 1
+        want.add(tuple(u))
+    assert {g.vector for g in p.generators} == want
+
+    assert len(p.relations) == math.comb(n + 1, 2) - math.comb(w + 1, 2) ** (k + 1)
+    vec = {g.name: g.vector for g in p.generators}
+
+    def side_sum(names):
+        return tuple(map(sum, zip(*(vec[g] for g in names))))
+
+    for rel in p.relations:
+        assert len(rel.lhs) == len(rel.rhs) == 2
+        assert side_sum(rel.lhs) == side_sum(rel.rhs)
 
 
 @settings(max_examples=30, deadline=None)

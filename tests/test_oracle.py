@@ -2,6 +2,7 @@
 
 import gc
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from fixtures import (
 )
 from gentle_si import oracle
 from gentle_si.errors import InputError
-from gentle_si.matching import is_member, make_system, validate_system
+from gentle_si.matching import is_member, make_system, presentation, validate_system
 from gentle_si.quivers import validate_coloring
 
 
@@ -134,12 +135,80 @@ def test_congruent_on_closing():
     assert not oracle.congruent(gens, rels, (0,), (1,))
 
 
-def test_relations_generate_same_congruence_reflexive():
-    sys_ = running_system()
-    gens = oracle.minimal_generators_bruteforce(sys_)
-    rels = oracle.toric_relations_bruteforce(gens, 4, system=sys_)
-    assert oracle.relations_generate_same_congruence(gens, rels, rels)
-    assert not oracle.relations_generate_same_congruence(gens, rels, [])
+def _reference_match(gens, orels, pres):
+    """The mutual-implication check verify_presentation used to run: the
+    engine relations and a second minimal basis, orels, each imply the
+    other."""
+    if sorted(g.vector for g in pres.generators) != gens:
+        return False, False
+    idx = {v: i for i, v in enumerate(gens)}
+    byname = {g.name: g.vector for g in pres.generators}
+    erels = [
+        (
+            tuple(sorted(idx[byname[n]] for n in r.lhs)),
+            tuple(sorted(idx[byname[n]] for n in r.rhs)),
+        )
+        for r in pres.relations
+    ]
+    implied = all(oracle.congruent(gens, orels, a, b) for a, b in erels) and all(
+        oracle.congruent(gens, erels, a, b) for a, b in orels
+    )
+    return True, implied
+
+
+def _broken_presentations(pres):
+    """(case, mutant) pairs: a dropped, an unbalanced and a duplicated
+    relation, and a dropped generator."""
+    rels = pres.relations
+    first = rels[0]
+    unbalanced = replace(first, rhs=tuple(sorted(first.rhs + first.lhs[:1])))
+    return [
+        ("dropped relation", replace(pres, relations=rels[1:])),
+        ("unbalanced relation", replace(pres, relations=[unbalanced] + rels[1:])),
+        ("duplicated relation", replace(pres, relations=rels + [first])),
+        ("dropped generator", replace(pres, generators=pres.generators[1:])),
+    ]
+
+
+def test_verify_detects_broken_presentations(monkeypatch):
+    # the subject is the relation check, so each system's box scan runs once
+    scans = {}
+    scan = oracle.minimal_generators_bruteforce
+
+    def scan_once(sys_, cap=3):
+        if (sys_, cap) not in scans:
+            scans[sys_, cap] = scan(sys_, cap)
+        return scans[sys_, cap]
+
+    monkeypatch.setattr(oracle, "minimal_generators_bruteforce", scan_once)
+    rng = random.Random(2718)
+    cases = [(s, presentation(s)) for s in (closing_system(), running_system())]
+    while len(cases) < 42:
+        # most draws have no relation; keep the ones that can lose one
+        sys_ = oracle.random_matching_system(rng, max_m=4, max_l=7)
+        pres = presentation(sys_)
+        if pres.relations:
+            cases.append((sys_, pres))
+    for sys_, pres in cases:
+        gens = scan_once(sys_)
+        orels = oracle.toric_relations_bruteforce(
+            gens, max(4, pres.relation_cap), system=sys_
+        )
+        for case, mutant in _broken_presentations(pres):
+            rep = oracle.verify_presentation(sys_, mutant)
+            got = (rep["generators_match"], rep["relations_match"])
+            assert got == _reference_match(gens, orels, mutant), case
+            if case == "dropped relation":
+                assert got == (True, False)
+                assert rep["witnesses"][0].startswith("fiber ")
+            elif case == "unbalanced relation":
+                assert got == (True, False)
+                assert "differ in sum" in rep["witnesses"][0]
+            elif case == "duplicated relation":
+                assert got == (True, True)
+                assert rep["witnesses"] == []
+            else:
+                assert not rep["generators_match"]
 
 
 def test_verify_si_equations_determinant():

@@ -15,5 +15,5 @@ def load_script(name: str):
 
 def test_verify_random_agrees_with_oracle(capsys):
     verify_random = load_script("verify_random")
-    assert verify_random.run(count=50, seed=777, cap=3, max_m=4, max_l=8) == 0
+    assert verify_random.run(count=50, seed=777, max_m=4, max_l=8) == 0
     assert "50/50 systems agree with the oracle" in capsys.readouterr().out
