@@ -57,19 +57,6 @@ from .quivers import (
 from .ranks import maximal_rank_sequences
 from .si import PegContext, degree_bounds, peg_context, si_presentation
 
-COMMANDS = (
-    "validate",
-    "color",
-    "cover",
-    "components",
-    "peg",
-    "generators",
-    "relations",
-    "presentation",
-    "degrees",
-    "verify",
-)
-
 _QUIVER_DIRECTIVES = {"vertex", "arrow", "rel", "beta", "rank"}
 _SYSTEM_DIRECTIVES = {"eq", "var"}
 
@@ -321,29 +308,23 @@ def _resolve_rank(
     return seqs[0], True
 
 
-@dataclass
-class _Pipeline:
-    r: dict[str, int]
-    rank_derived: bool
-    ctx: PegContext
-
-
-def _quiver_pipeline(model: ModelFile) -> _Pipeline:
+def _quiver_context(model: ModelFile) -> tuple[PegContext, bool]:
+    """Graph context of the model's rank component, and whether r was derived."""
     q = _model_quiver(model)
     c = _pipeline_coloring(model)
     r, derived = _resolve_rank(model, c)
-    ctx = peg_context(q, c, model.beta, r)
-    return _Pipeline(r=r, rank_derived=derived, ctx=ctx)
+    return peg_context(q, c, model.beta, r), derived
 
 
-def _model_system(model: ModelFile) -> tuple[MatchingSystem, Optional[_Pipeline]]:
+def _model_system(model: ModelFile) -> tuple[MatchingSystem, dict]:
+    """The system to present, with the rank fields a quiver model reports."""
     if model.kind == "system":
         rep = validate_system(model.system)
         if not rep.ok:
             raise InputError(f"not a matching system: {_first_violation(rep)}")
-        return model.system, None
-    pl = _quiver_pipeline(model)
-    return pl.ctx.extract.system, pl
+        return model.system, {}
+    ctx, derived = _quiver_context(model)
+    return ctx.extract.system, {"rank": ctx.r, "rank_derived": derived}
 
 
 def _pairs(rels) -> list[list[str]]:
@@ -357,7 +338,7 @@ def _root_key(rt) -> list:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_validate(model: ModelFile, cfg: CliConfig) -> dict:
+def _cmd_validate(model: ModelFile) -> dict:
     if model.kind == "system":
         rep = validate_system(model.system)
         return {
@@ -392,7 +373,7 @@ def _cmd_validate(model: ModelFile, cfg: CliConfig) -> dict:
     return out
 
 
-def _cmd_color(model: ModelFile, cfg: CliConfig) -> dict:
+def _cmd_color(model: ModelFile) -> dict:
     q = _model_quiver(model)
     if model.coloring is not None:
         rep = validate_coloring(q, model.coloring)
@@ -410,7 +391,7 @@ def _cmd_color(model: ModelFile, cfg: CliConfig) -> dict:
     }
 
 
-def _cmd_cover(model: ModelFile, cfg: CliConfig) -> dict:
+def _cmd_cover(model: ModelFile) -> dict:
     q = _model_quiver(model)
     if model.relations is not None:
         rels = model.relations
@@ -427,7 +408,7 @@ def _cmd_cover(model: ModelFile, cfg: CliConfig) -> dict:
     }
 
 
-def _cmd_components(model: ModelFile, cfg: CliConfig) -> dict:
+def _cmd_components(model: ModelFile) -> dict:
     q = _model_quiver(model)
     c = _pipeline_coloring(model)
     return {
@@ -437,11 +418,12 @@ def _cmd_components(model: ModelFile, cfg: CliConfig) -> dict:
     }
 
 
-def _cmd_peg(model: ModelFile, cfg: CliConfig) -> dict:
-    pl = _quiver_pipeline(model)
-    graph = pl.ctx.graph
+def _cmd_peg(model: ModelFile) -> dict:
+    ctx, derived = _quiver_context(model)
+    graph = ctx.graph
+    endpoint_of = ctx.extract.endpoint_of
     comps = []
-    for cp in pl.ctx.comps:
+    for cp in ctx.extract.components:
         if cp.kind == "string":
             ep_roots = cp.endpoints
         elif cp.kind == "isolated":
@@ -455,8 +437,8 @@ def _cmd_peg(model: ModelFile, cfg: CliConfig) -> dict:
                 "endpoints": [
                     {
                         "root": _root_key(rt),
-                        "cls": pl.ctx.endpoint_of[rt].cls,
-                        "phi": list(pl.ctx.endpoint_of[rt].phi),
+                        "cls": endpoint_of[rt].cls,
+                        "phi": list(endpoint_of[rt].phi),
                     }
                     for rt in ep_roots
                 ],
@@ -464,8 +446,8 @@ def _cmd_peg(model: ModelFile, cfg: CliConfig) -> dict:
         )
     return {
         "command": "peg",
-        "rank": pl.r,
-        "rank_derived": pl.rank_derived,
+        "rank": ctx.r,
+        "rank_derived": derived,
         "roots": [_root_key(rt) for rt in graph.roots],
         "vertex_edges": [
             [_root_key(u), _root_key(w)] for u, w in graph.vertex_edges
@@ -477,40 +459,33 @@ def _cmd_peg(model: ModelFile, cfg: CliConfig) -> dict:
     }
 
 
-def _with_rank(payload: dict, pl: Optional[_Pipeline]) -> dict:
-    if pl is not None:
-        payload["rank"] = pl.r
-        payload["rank_derived"] = pl.rank_derived
-    return payload
-
-
-def _cmd_generators(model: ModelFile, cfg: CliConfig) -> dict:
-    sys_, pl = _model_system(model)
+def _cmd_generators(model: ModelFile) -> dict:
+    sys_, rank_fields = _model_system(model)
     graph = build_graph(sys_)
     gens = walk_generators(graph)
-    payload = {
+    return {
         "command": "generators",
         "variables": list(sys_.var_names),
         "free_variables": [sys_.var_names[j] for j in graph.free_vars],
         "forced_zero": [sys_.var_names[j] for j in graph.forced_zero],
         "generators": [g.as_dict() for g in gens],
+        **rank_fields,
     }
-    return _with_rank(payload, pl)
 
 
-def _cmd_relations(model: ModelFile, cfg: CliConfig) -> dict:
-    sys_, pl = _model_system(model)
+def _cmd_relations(model: ModelFile) -> dict:
+    sys_, rank_fields = _model_system(model)
     pres = presentation(sys_)
-    payload = {
+    return {
         "command": "relations",
         "generators": [g.as_dict() for g in pres.generators],
         "relations": [rel.as_dict() for rel in pres.relations],
         "relation_cap": pres.relation_cap,
+        **rank_fields,
     }
-    return _with_rank(payload, pl)
 
 
-def _cmd_presentation(model: ModelFile, cfg: CliConfig) -> dict:
+def _cmd_presentation(model: ModelFile) -> dict:
     if model.kind == "system":
         sys_, _ = _model_system(model)
         pres = presentation(sys_)
@@ -525,7 +500,7 @@ def _cmd_presentation(model: ModelFile, cfg: CliConfig) -> dict:
     return payload
 
 
-def _cmd_degrees(model: ModelFile, cfg: CliConfig) -> dict:
+def _cmd_degrees(model: ModelFile) -> dict:
     q = _model_quiver(model)
     if model.rank is not None:
         r, derived = dict(model.rank), False
@@ -541,24 +516,23 @@ def _cmd_degrees(model: ModelFile, cfg: CliConfig) -> dict:
     }
 
 
-def _cmd_verify(model: ModelFile, cfg: CliConfig) -> dict:
-    sys_, pl = _model_system(model)
+def _cmd_verify(model: ModelFile) -> dict:
+    sys_, rank_fields = _model_system(model)
     pres = presentation(sys_)
-    payload = {"command": "verify", **verify_presentation(sys_, pres)}
-    return _with_rank(payload, pl)
+    return {"command": "verify", **verify_presentation(sys_, pres), **rank_fields}
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "color": _cmd_color,
-    "cover": _cmd_cover,
-    "components": _cmd_components,
-    "peg": _cmd_peg,
-    "generators": _cmd_generators,
-    "relations": _cmd_relations,
-    "presentation": _cmd_presentation,
-    "degrees": _cmd_degrees,
-    "verify": _cmd_verify,
+    "validate": (_cmd_validate, "structural checks on the model"),
+    "color": (_cmd_color, "show or derive the coloring"),
+    "cover": (_cmd_cover, "peel a gentle cover off a string algebra"),
+    "components": (_cmd_components, "maximal rank sequences for the dimension vector"),
+    "peg": (_cmd_peg, "the root graph, as JSON or DOT"),
+    "generators": (_cmd_generators, "semigroup generators of the extracted system"),
+    "relations": (_cmd_relations, "presentation relations of the extracted system"),
+    "presentation": (_cmd_presentation, "full translated presentation"),
+    "degrees": (_cmd_degrees, "degree bounds for generators and relations"),
+    "verify": (_cmd_verify, "cross-check the presentation against brute force"),
 }
 
 
@@ -566,9 +540,9 @@ def run_command(command: str, model: ModelFile, cfg: CliConfig) -> str:
     if command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
     if command == "peg" and cfg.dot:
-        pl = _quiver_pipeline(model)
-        return export_dot(pl.ctx.graph)
-    payload = _COMMANDS[command](model, cfg)
+        return export_dot(_quiver_context(model)[0].graph)
+    handler, _ = _COMMANDS[command]
+    payload = handler(model)
     if cfg.json:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return _render_text(command, payload)
@@ -589,6 +563,14 @@ def _term_sum(names: Sequence[str], vector: Sequence[int]) -> str:
 
 def _name_sum(names: Sequence[str]) -> str:
     return " + ".join(names) if names else "0"
+
+
+def _generator_line(g: dict, variables: Sequence[str]) -> str:
+    return f"{g['name']} ({g['kind']}): {_term_sum(variables, g['vector'])}"
+
+
+def _relation_line(rel: dict) -> str:
+    return f"{_name_sum(rel['lhs'])} = {_name_sum(rel['rhs'])}"
 
 
 def _endpoint_text(ep: dict) -> str:
@@ -638,10 +620,7 @@ def _render_text(command: str, payload: dict) -> str:
             lines.append(entry)
     elif command == "generators":
         for g in payload["generators"]:
-            lines.append(
-                f"{g['name']} ({g['kind']}):"
-                f" {_term_sum(payload['variables'], g['vector'])}"
-            )
+            lines.append(_generator_line(g, payload["variables"]))
         if payload["free_variables"]:
             lines.append("free: " + " ".join(payload["free_variables"]))
         if payload["forced_zero"]:
@@ -650,10 +629,7 @@ def _render_text(command: str, payload: dict) -> str:
             lines.append("no generators")
     elif command == "relations":
         for rel in payload["relations"]:
-            lines.append(
-                f"{_name_sum(rel['lhs'])} = {_name_sum(rel['rhs'])}"
-                f"  [{rel['provenance']}]"
-            )
+            lines.append(f"{_relation_line(rel)}  [{rel['provenance']}]")
         if not payload["relations"]:
             lines.append("no relations")
         lines.append(f"relation cap: {payload['relation_cap']}")
@@ -671,9 +647,7 @@ def _render_text(command: str, payload: dict) -> str:
                     f"  sigma {sigma}"
                 )
             for rel in payload["relations"]:
-                lines.append(
-                    f"{_name_sum(rel['lhs'])} = {_name_sum(rel['rhs'])}"
-                )
+                lines.append(_relation_line(rel))
             bounds = payload["degree_bounds"]
             lines.append(
                 f"degree bounds: generators {bounds['generators']},"
@@ -681,14 +655,9 @@ def _render_text(command: str, payload: dict) -> str:
             )
         else:
             for g in payload["generators"]:
-                lines.append(
-                    f"{g['name']} ({g['kind']}):"
-                    f" {_term_sum(payload['variables'], g['vector'])}"
-                )
+                lines.append(_generator_line(g, payload["variables"]))
             for rel in payload["relations"]:
-                lines.append(
-                    f"{_name_sum(rel['lhs'])} = {_name_sum(rel['rhs'])}"
-                )
+                lines.append(_relation_line(rel))
     elif command == "degrees":
         lines.append(
             "rank: " + " ".join(f"{a}={n}" for a, n in sorted(payload["rank"].items()))
@@ -721,20 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semi-invariant ring presentations for colored gentle quivers.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    helps = {
-        "validate": "structural checks on the model",
-        "color": "show or derive the coloring",
-        "cover": "peel a gentle cover off a string algebra",
-        "components": "maximal rank sequences for the dimension vector",
-        "peg": "the root graph, as JSON or DOT",
-        "generators": "semigroup generators of the extracted system",
-        "relations": "presentation relations of the extracted system",
-        "presentation": "full translated presentation",
-        "degrees": "degree bounds for generators and relations",
-        "verify": "cross-check the presentation against brute force",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument(
             "model", nargs="?", default="-", help="model file, - for stdin"
         )

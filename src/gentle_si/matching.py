@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ValidationReport, require
 
@@ -479,7 +479,7 @@ def _partial_strings(graph: MatchingGraph):
     arms: dict[int, set] = {}
     for verts, edges, fv in _loop_starts(graph):
 
-        def visit(w):
+        def visit(_w):
             arms.setdefault(verts[-2], set()).add(_vector(graph, edges))
 
         _extend(graph, verts, edges, fv, 0, visit)
@@ -496,7 +496,7 @@ def _loop_free_walks(graph: MatchingGraph):
     for x in range(1, 2 * graph.m + 1):
         verts, edges = [graph.partner(x)], []
 
-        def visit(w):
+        def visit(_w):
             if len(edges) > 1:
                 out.setdefault((x, verts[-2]), set()).add(_vector(graph, edges))
 
@@ -592,12 +592,6 @@ class Presentation:
     generators: list[Generator]
     relations: list[Relation]
     relation_cap: int
-
-    def generator(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise InputError(f"unknown generator {name!r}")
 
     def as_dict(self) -> dict:
         return {

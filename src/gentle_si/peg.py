@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError, require
-from .matching import MatchingSystem, make_system, validate_system
+from .matching import MatchingSystem, make_system
 from .quivers import Coloring, Quiver, color_incidence, vertex_colors
 from .ranks import check_beta, rank_violations
 
@@ -244,23 +244,6 @@ class MatchingSystemExtract:
     components: list[PegComponent]
     endpoint_of: dict[Root, Endpoint]
 
-    def as_dict(self) -> dict:
-        eqs = []
-        for j, (lhs, rhs) in enumerate(self.system.equations()):
-            entry = {"lhs": list(lhs), "rhs": list(rhs)}
-            if j in self.string_index:
-                e1, e2 = self.string_index[j]
-                entry["endpoints"] = [list(e1.root.key()), list(e2.root.key())]
-            else:
-                entry["endpoints"] = [list(self.forced_index[j].root.key())]
-            eqs.append(entry)
-        return {
-            "variables": list(self.system.var_names),
-            "equations": eqs,
-            "free_arrows": list(self.free_arrows),
-            "bands": [[list(rt.key()) for rt in b.roots] for b in self.band_index],
-        }
-
 
 def extract_matching_system(
     graph: PegGraph, q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
@@ -295,8 +278,6 @@ def extract_matching_system(
         string_index[len(equations)] = (e1, e2)
         equations.append((tuple(lhs), tuple(rhs)))
     system = make_system(equations, var_names=var_names)
-    report = validate_system(system)
-    require(report.ok, f"extracted system violates matching axioms: {report.violations}")
     used = {a for lhs, rhs in equations for a in lhs + rhs}
     free = tuple(a for a in var_names if a not in used)
     return MatchingSystemExtract(

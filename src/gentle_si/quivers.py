@@ -220,7 +220,6 @@ def validate_coloring(q: Quiver, c: Coloring) -> ValidationReport:
     for s in c.colors():
         names = c.class_of(s)
         arrows = [q.arrow(n) for n in names]
-        tails = {a.tail for a in arrows}
         heads = {a.head for a in arrows}
         starts = [a for a in arrows if a.tail not in heads]
         if len(starts) != 1:
@@ -237,7 +236,6 @@ def validate_coloring(q: Quiver, c: Coloring) -> ValidationReport:
             cur = nxt
         if count != len(arrows):
             rep.add("connected", f"color {s} does not form a single path")
-        _ = tails
     return rep
 
 

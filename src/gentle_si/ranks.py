@@ -102,14 +102,6 @@ class ColorRestriction:
     beta_s: tuple[int, ...]
     r_s: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "color": self.color,
-            "vertex_path": list(self.vertex_path),
-            "beta": list(self.beta_s),
-            "r": list(self.r_s),
-        }
-
 
 def restrict_to_color(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int], s: str

@@ -20,7 +20,6 @@ from .matching import Presentation, Relation, is_member, presentation
 from .peg import (
     Endpoint,
     MatchingSystemExtract,
-    PegComponent,
     PegGraph,
     Root,
     build_peg,
@@ -37,10 +36,12 @@ PartitionMap = dict[str, tuple[int, ...]]
 
 @dataclass
 class PegContext:
-    """Graph, components and extraction for one (beta, r) pair, with lookups.
+    """Graph and extraction for one (beta, r) pair, with lookups.
 
-    arrow_comps maps each arrow a to the components through its tail-side
-    roots at heights 1..r(a)-1, in that order.
+    The extraction holds the components and their endpoints. arrow_comps
+    maps each arrow a to the indices in extract.components of the
+    components through its tail-side roots at heights 1..r(a)-1, in that
+    order.
     """
 
     q: Quiver
@@ -48,11 +49,8 @@ class PegContext:
     beta: dict[str, int]
     r: dict[str, int]
     graph: PegGraph
-    comps: list[PegComponent]
     extract: MatchingSystemExtract
     inc: dict[tuple[str, str], Incidence]
-    endpoint_of: dict[Root, Endpoint]
-    band_slot: dict[int, int]
     arrow_comps: dict[str, tuple[int, ...]]
 
 
@@ -61,18 +59,9 @@ def peg_context(
 ) -> PegContext:
     graph = build_peg(q, c, beta, r)
     extract = extract_matching_system(graph, q, c, beta, r)
-    comps = extract.components
-    comp_of = {}
-    band_slot = {}
-    for idx, cp in enumerate(comps):
-        for rt in cp.roots:
-            comp_of[rt] = idx
-        if cp.kind == "band":
-            band_slot[idx] = len(band_slot)
-    require(
-        len(band_slot) == len(extract.band_index),
-        "band count mismatch between components and extraction",
-    )
+    comp_of = {
+        rt: idx for idx, cp in enumerate(extract.components) for rt in cp.roots
+    }
     arrow_comps = {
         a.name: tuple(
             comp_of[Root(a.tail, c.color(a.name), i)] for i in range(1, r[a.name])
@@ -80,17 +69,7 @@ def peg_context(
         for a in q.arrows
     }
     return PegContext(
-        q,
-        c,
-        beta,
-        r,
-        graph,
-        comps,
-        extract,
-        color_incidence(q, c),
-        extract.endpoint_of,
-        band_slot,
-        arrow_comps,
+        q, c, beta, r, graph, extract, color_incidence(q, c), arrow_comps
     )
 
 
@@ -124,14 +103,15 @@ def _phi_sum(ctx: PegContext, endpoint: Endpoint, u: Sequence[int]) -> int:
 def _values_by_component(
     ctx: PegContext, u: Sequence[int], y: Sequence[int]
 ) -> list[int]:
+    band_values = iter(y)  # extract.band_index lists the bands in component order
     vals = []
-    for idx, cp in enumerate(ctx.comps):
+    for cp in ctx.extract.components:
         if cp.kind == "isolated":
             vals.append(0)
         elif cp.kind == "band":
-            vals.append(y[ctx.band_slot[idx]])
+            vals.append(next(band_values))
         else:
-            vals.append(_phi_sum(ctx, ctx.endpoint_of[cp.endpoints[0]], u))
+            vals.append(_phi_sum(ctx, ctx.extract.endpoint_of[cp.endpoints[0]], u))
     return vals
 
 
@@ -150,7 +130,7 @@ def component_values(
 def component_labels(ctx: PegContext) -> list[str]:
     """One label per component, its smallest root in vertex|color|index form."""
     out = []
-    for cp in ctx.comps:
+    for cp in ctx.extract.components:
         rt = min(cp.roots)
         out.append(f"{rt.vertex}|{rt.color}|{rt.index}")
     return out
@@ -400,12 +380,7 @@ class SiPresentation:
     generators: list[SiGenerator]
     degree_bound_gens: int
     degree_bound_rels: int
-    grading: dict[str, tuple[int, ...]]
     rank_maximal: bool
-
-    @property
-    def component_label(self) -> dict[str, int]:
-        return dict(self.context.r)
 
     def generator(self, name: str) -> SiGenerator:
         for g in self.generators:
@@ -419,7 +394,7 @@ class SiPresentation:
     def as_dict(self) -> dict:
         sys_ = self.matching.system
         return {
-            "component": dict(sorted(self.component_label.items())),
+            "component": dict(sorted(self.context.r.items())),
             "dimensions": dict(sorted(self.context.beta.items())),
             "variables": list(sys_.var_names),
             "band_vars": list(self.band_vars),
@@ -447,7 +422,6 @@ def _translate(
     y: tuple[int, ...],
     gen_bound: int,
 ) -> SiGenerator:
-    u, y = _check_uy(ctx, u, y)
     vals = _values_by_component(ctx, u, y)
     lam = _partitions(ctx, u, vals)
     deg = generator_degree(lam)
@@ -508,14 +482,6 @@ def si_presentation(
             f" {rel_bound}",
         )
 
-    grading = {rec.name: rec.grade for rec in records}
     return SiPresentation(
-        ctx,
-        pres,
-        band_vars,
-        records,
-        gen_bound,
-        rel_bound,
-        grading,
-        maximal,
+        ctx, pres, band_vars, records, gen_bound, rel_bound, maximal
     )

@@ -413,6 +413,79 @@ def test_random_presentations_match_golden_digest():
 
 
 # ---------------------------------------------------------------------------
+# metamorphic checks: relabelling a system relabels its presentation
+
+
+def _transformed(sys_, perm, order, flipped):
+    """sys_ with variable j moved to position perm[j], its equations taken
+    in the given order, and the sides of the equations in flipped swapped.
+    """
+    names = [None] * sys_.num_vars
+    for j, name in enumerate(sys_.var_names):
+        names[perm[j]] = name
+    eqs = sys_.equations()
+    return make_system(
+        [eqs[k][::-1] if k in flipped else eqs[k] for k in order],
+        var_names=names,
+    )
+
+
+def _transforms(sys_, rng):
+    """(name, perm, order, flipped): each relabelling on its own."""
+    n, m = sys_.num_vars, sys_.m
+    perm = rng.sample(range(n), n)
+    order = rng.sample(range(m), m)
+    ident_v, ident_e = list(range(n)), list(range(m))
+    yield "variables", perm, ident_e, set()
+    yield "equations", ident_v, order, set()
+    if m:
+        yield "sides", ident_v, ident_e, {rng.randrange(m)}
+
+
+def _degrees(pres):
+    total = {g.name: sum(g.vector) for g in pres.generators}
+    return sorted(sum(total[n] for n in rel.lhs) for rel in pres.relations)
+
+
+def _check_relabelling(sys_, rng):
+    base = presentation(sys_)
+    for name, perm, order, flipped in _transforms(sys_, rng):
+        image = presentation(_transformed(sys_, perm, order, flipped))
+        moved = []
+        for g in base.generators:
+            u = [0] * sys_.num_vars
+            for j, x in enumerate(g.vector):
+                u[perm[j]] = x
+            moved.append(tuple(u))
+        assert sorted(moved) == sorted(g.vector for g in image.generators), name
+        assert len(image.relations) == len(base.relations), name
+        assert _degrees(image) == _degrees(base), name
+
+
+def _chain_system(k, w):
+    group = [[f"u{i}_{j}" for j in range(1, w + 1)] for i in range(1, k + 2)]
+    return make_system([(group[i], group[i + 1]) for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "sys_", [closing_system(), _chain_system(3, 3)], ids=["closing", "chain33"]
+)
+def test_relabelling_fixed_systems(sys_):
+    _check_relabelling(sys_, random.Random(5))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelling_random_systems(seed):
+    """Permuting variables, reordering equations or swapping the sides of
+    one equation permutes the generators the same way and keeps the
+    relation count and the multiset of relation degrees.
+    """
+    rng = random.Random(seed)
+    for _ in range(150):
+        _check_relabelling(oracle.random_matching_system(rng, max_m=4, max_l=8), rng)
+
+
+# ---------------------------------------------------------------------------
 # references for the candidate step and band enumeration
 
 

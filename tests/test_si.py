@@ -1,5 +1,6 @@
 """Tests for the translation from semigroup elements to partitions and weights."""
 
+import dataclasses
 import json
 import random
 
@@ -68,7 +69,7 @@ def test_determinant_presentation_frozen():
     assert g.degree == 2
     assert g.sigma == {"1": 1, "2": -1}
     assert g.grade == (0,)
-    assert pres.grading == {"g1": (0,)}
+    assert {g.name: g.grade for g in pres.generators} == {"g1": (0,)}
     assert (pres.degree_bound_gens, pres.degree_bound_rels) == (6, 24)
     assert component_labels(pres.context) == ["1|s|1"]
 
@@ -160,6 +161,22 @@ def test_relation_above_degree_bound_raises(monkeypatch):
         si_presentation(*running_example())
 
 
+def test_wrong_engine_generator_is_an_invariant_error(monkeypatch):
+    """A generator vector that fails the system is an engine bug (exit 2)."""
+    engine = si_module.presentation
+
+    def broken(sys_):
+        pres = engine(sys_)
+        g = pres.generators[0]
+        bumped = (g.vector[0] + 1,) + g.vector[1:]
+        pres.generators[0] = dataclasses.replace(g, vector=bumped)
+        return pres
+
+    monkeypatch.setattr(si_module, "presentation", broken)
+    with pytest.raises(InvariantError, match="generator g1 fails the weight"):
+        si_presentation(*running_example())
+
+
 def test_running_generators_satisfy_oracle_equations():
     q, c, beta, r = running_example()
     pres = si_presentation(q, c, beta, r)
@@ -180,10 +197,11 @@ def test_running_component_labels():
 
 def test_multigrading_matches_presentation():
     pres = si_presentation(*running_example())
-    assert multigrading(pres.context, pres.generators) == pres.grading
+    grading = {g.name: g.grade for g in pres.generators}
+    assert multigrading(pres.context, pres.generators) == grading
     raw = multigrading(pres.context, pres.matching.generators)
     for g in pres.matching.generators:
-        assert raw[g.name] == pres.grading[g.name]
+        assert raw[g.name] == grading[g.name]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +237,7 @@ def test_jumps_constant_per_component():
         lam = lambda_from_uy(ctx, u, y)
         jumps = root_jumps(ctx, lam)
         vals = component_values(ctx, u, y)
-        for idx, cp in enumerate(ctx.comps):
+        for idx, cp in enumerate(ctx.extract.components):
             assert {jumps[rt] for rt in cp.roots} == {vals[idx]}
 
 
