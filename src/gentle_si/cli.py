@@ -666,7 +666,6 @@ def _render_text(command: str, payload: dict) -> str:
         lines.append(f"generators in degree <= {bounds['generators']}")
         lines.append(f"relations in degree <= {bounds['relations']}")
     elif command == "verify":
-        lines.append(f"cap: {payload['cap']}")
         gm = "match" if payload["generators_match"] else "MISMATCH"
         rm = "match" if payload["relations_match"] else "MISMATCH"
         lines.append(f"generators: {gm}")

@@ -1,10 +1,12 @@
 """Brute-force ground truth, kept independent of the walk machinery.
 
-Everything here recomputes answers from first principles: membership by
-evaluating coefficient rows, generators by subtracting points inside a box,
-relations by joining decomposition classes, semi-invariance by summing
-mirrored entries. The walk-based engine has to agree with this module; the
-test suite wires the two against each other on fixed and random inputs.
+Everything here recomputes answers from first principles, reading only the
+equations: generators by the Contejean-Devie completion of the unit
+vectors (and, as a test reference, by subtracting points inside a box),
+relations by joining the decomposition classes of every fiber in a bounded
+region, semi-invariance by summing mirrored entries. The walk-based engine
+has to agree with this module; the test suite wires the two against each
+other on fixed and random inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .matching import MatchingSystem, system_from_rows
 from .quivers import Arrow, Coloring, Quiver, color_incidence, vertex_colors
 
 
-# box size of the generator scan, reported by verify as "cap"
-COORDINATE_CAP = 3
 # verify checks fibers up to at least this row count, whatever the engine reports
 RELATION_DEGREE_FLOOR = 4
 
@@ -63,10 +63,27 @@ def enumerate_points(sys_: MatchingSystem, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _counting_bound_checked(
+    sys_: MatchingSystem, gens: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """gens sorted, once no coordinate and no equation side is above 2."""
+    for g in gens:
+        require(
+            max(g) <= 2,
+            f"irreducible solution {g} has a coordinate above 2",
+        )
+        require(
+            max(sys_.fprofile(g), default=0) <= 2,
+            f"irreducible solution {g} has an equation side above 2",
+        )
+    return sorted(gens)
+
+
 def minimal_generators_bruteforce(
     sys_: MatchingSystem, cap: int = 3
 ) -> list[tuple[int, ...]]:
-    """Points that are not sums of two nonzero solutions.
+    """Points that are not sums of two nonzero solutions: the box-scan
+    reference for hilbert_basis.
 
     Inside the box this test is exact, because both parts of any split are
     coordinatewise below the point being split. Requires cap >= 2 so that
@@ -94,16 +111,62 @@ def minimal_generators_bruteforce(
                     break
         if not reducible:
             gens.append(u)
-    for g in gens:
-        require(
-            max(g) <= 2,
-            f"irreducible solution {g} has a coordinate above 2",
-        )
-        require(
-            max(sys_.fprofile(g), default=0) <= 2,
-            f"irreducible solution {g} has an equation side above 2",
-        )
-    return sorted(gens)
+    return _counting_bound_checked(sys_, gens)
+
+
+def hilbert_basis(sys_: MatchingSystem) -> list[tuple[int, ...]]:
+    """The minimal nonzero solutions, by Contejean-Devie completion.
+
+    Let A have the rows (lhs row - rhs row), so A.e_j is column j's defect.
+    The frontier starts at the unit vectors. At each level, points of zero
+    defect are minimal solutions; any other point p grows to p + e_j only
+    when <A.p, A.e_j> < 0, and never onto a point above a solution already
+    found. This reaches every minimal solution and stops (Contejean & Devie,
+    Information and Computation 113, 1994), so the work follows the size of
+    the basis, with no box. A zero column gives e_j as a solution at once.
+    The counting bound (no coordinate and no equation side above 2) is
+    asserted on the result.
+    """
+    l, m, rows = sys_.num_vars, sys_.m, sys_.rows
+    # column j's defect as (equation, +-1) pairs, at most two of them
+    defect = [
+        [
+            (k, rows[k][j] - rows[m + k][j])
+            for k in range(m)
+            if rows[k][j] != rows[m + k][j]
+        ]
+        for j in range(l)
+    ]
+    solutions: list[tuple[int, ...]] = []
+    frontier: dict[tuple[int, ...], list[int]] = {}
+    for j in range(l):
+        d = [0] * m
+        for k, a in defect[j]:
+            d[k] = a
+        frontier[tuple(int(i == j) for i in range(l))] = d
+    while frontier:
+        growing = []
+        for p, d in frontier.items():
+            if any(d):
+                growing.append((p, d))
+            else:
+                solutions.append(p)
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for p, d in growing:
+            for j in range(l):
+                if sum(a * d[k] for k, a in defect[j]) >= 0:
+                    continue
+                q = p[:j] + (p[j] + 1,) + p[j + 1 :]
+                if q in nxt or any(
+                    all(sx <= qx for sx, qx in zip(s, q)) for s in solutions
+                ):
+                    continue
+                dq = list(d)
+                for k, a in defect[j]:
+                    dq[k] += a
+                nxt[q] = dq
+        frontier = nxt
+    return _counting_bound_checked(sys_, solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -248,40 +311,56 @@ def _classes(
     return sorted(groups.values(), key=lambda g: min(g))
 
 
-def reachable_sums(
+def fibers(
     gens: Sequence[tuple[int, ...]],
     degree_cap: int,
     system: MatchingSystem,
-) -> list[tuple[int, ...]]:
-    """Nonzero sums of generator multisets with every equation side at most
-    degree_cap.
+) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """(sum, its sorted decompositions) for every fiber with at least two
+    generator multisets and no equation side above degree_cap.
 
-    Generators supported only on zero columns never enter a relation (their
-    multiplicity is pinned by the free coordinates of the sum), and they
-    would make the capped region infinite, so they are left out of the walk.
+    One depth-first pass enumerates the multisets as non-decreasing index
+    sequences into gens and buckets them by sum. A branch stops as soon as
+    a side count passes degree_cap; counts only grow along a branch, so
+    nothing inside the region is missed. Generators with a zero profile are
+    unit vectors on zero columns: they would make the region infinite, and
+    no other generator touches a zero column, so they never occur in a
+    decomposition of a region sum and are left out. Fibers come in
+    (total, sum) order.
     """
-    gens = [tuple(g) for g in gens if any(system.fprofile(g))]
-    if not gens:
-        return []
-    width = len(gens[0])
-    zero = tuple([0] * width)
+    # (index, nonzero (row, count) pairs) of each generator with a nonzero profile
+    live = []
+    for i, g in enumerate(gens):
+        sides = [(r, c) for r, c in enumerate(system.fprofile(g)) if c]
+        if sides:
+            live.append((i, sides))
+    prof = [0] * (2 * system.m)
+    acc = [0] * system.num_vars
+    seq: list[int] = []
+    by_sum: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def in_domain(v: tuple[int, ...]) -> bool:
-        return all(system.fvalue(i, v) <= degree_cap for i in range(2 * system.m))
+    def rec(start: int) -> None:
+        for pos in range(start, len(live)):
+            i, sides = live[pos]
+            for r, c in sides:
+                prof[r] += c
+            if all(prof[r] <= degree_cap for r, _ in sides):
+                for j, x in enumerate(gens[i]):
+                    acc[j] += x
+                seq.append(i)
+                by_sum.setdefault(tuple(acc), []).append(tuple(seq))
+                rec(pos)
+                seq.pop()
+                for j, x in enumerate(gens[i]):
+                    acc[j] -= x
+            for r, c in sides:
+                prof[r] -= c
 
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = tuple(a + b for a, b in zip(v, g))
-                if w not in seen and in_domain(w):
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    seen.discard(zero)
-    return sorted(seen, key=lambda v: (sum(v), v))
+    rec(0)
+    # as in enumerate_points: rec reaches itself through its closure
+    del rec
+    out = [(v, sorted(decs)) for v, decs in by_sum.items() if len(decs) > 1]
+    return sorted(out, key=lambda f: (sum(f[0]), f[0]))
 
 
 def toric_relations_bruteforce(
@@ -300,10 +379,7 @@ def toric_relations_bruteforce(
     """
     gens = [tuple(g) for g in gens]
     relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for v in reachable_sums(gens, degree_cap, system):
-        decs = decompositions(gens, v)
-        if len(decs) < 2:
-            continue
+    for _, decs in fibers(gens, degree_cap, system):
         while True:
             classes = _classes(decs, relations)
             if len(classes) == 1:
@@ -392,15 +468,23 @@ def verify_si_equations(
 
 
 def random_matching_system(
-    rng: random.Random, max_m: int = 4, max_l: int = 8
+    rng: random.Random,
+    max_m: int = 4,
+    max_l: int = 8,
+    occupancy: Sequence[int] = (0, 1, 1, 2, 2),
 ) -> MatchingSystem:
-    """Sample a valid system: column occupancies 0..2, no same-equation pair."""
+    """Sample a valid system: no same-equation pair in a column.
+
+    Each column's row count is drawn from occupancy (entries 0..2; a 2
+    becomes a 1 when there is one equation). Mixes rich in 2s give more
+    relations.
+    """
     m = rng.randint(1, max_m)
     l = rng.randint(1, max_l)
     while True:
         rows = [[0] * l for _ in range(2 * m)]
         for j in range(l):
-            k = rng.choice((0, 1, 1, 2, 2))
+            k = rng.choice(occupancy)
             if k == 2 and m == 1:
                 k = 1
             placed: list[int] = []
@@ -464,19 +548,19 @@ def verify_presentation(sys_: MatchingSystem, pres) -> dict:
 
     pres needs .generators (objects with .name and .vector), .relations
     (objects with .lhs/.rhs name tuples) and .relation_cap. The generators
-    must equal the box scan's minimal generators as a vector set. The
+    must equal hilbert_basis's minimal solutions as a vector set. The
     relations are right exactly when both sides of each have the same sum
     and every fiber (all generator multisets with one sum) is connected by
-    the relation moves: the fundamental theorem of Markov bases. Fibers are
-    checked for every reachable sum with no equation side above the larger
-    of relation_cap and RELATION_DEGREE_FLOOR; the fiber pass runs only when
-    every relation is balanced, since an unbalanced move leaves its fiber.
-    Returns the report dict; witnesses list each discrepancy.
+    the relation moves: the fundamental theorem of Markov bases. The fibers
+    come from one fibers() pass over the region with no equation side above
+    the larger of relation_cap and RELATION_DEGREE_FLOOR; that pass runs
+    only when every relation is balanced, since an unbalanced move leaves
+    its fiber. Returns the report dict; witnesses list each discrepancy.
     """
     witnesses: list[str] = []
     relation_cap = max(RELATION_DEGREE_FLOOR, pres.relation_cap)
 
-    ogens = minimal_generators_bruteforce(sys_, cap=COORDINATE_CAP)
+    ogens = hilbert_basis(sys_)
     evecs = sorted(g.vector for g in pres.generators)
     generators_match = evecs == ogens
     if not generators_match:
@@ -505,10 +589,7 @@ def verify_presentation(sys_: MatchingSystem, pres) -> dict:
             if _vector_sum(ogens, lhs) != _vector_sum(ogens, rhs):
                 witnesses.append(f"engine relation sides differ in sum: {lhs} ~ {rhs}")
         if not witnesses:
-            for v in reachable_sums(ogens, relation_cap, sys_):
-                decs = decompositions(ogens, v)
-                if len(decs) < 2:
-                    continue
+            for v, decs in fibers(ogens, relation_cap, sys_):
                 classes = _classes(decs, erels)
                 if len(classes) > 1:
                     witnesses.append(
@@ -524,7 +605,6 @@ def verify_presentation(sys_: MatchingSystem, pres) -> dict:
             "m": sys_.m,
             "var_names": list(sys_.var_names),
         },
-        "cap": COORDINATE_CAP,
         "relation_cap": relation_cap,
         "generators_match": generators_match,
         "relations_match": relations_match,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, require
+from .errors import InputError, InvariantError, require
 from .matching import MatchingSystem, make_system
 from .quivers import Coloring, Quiver, color_incidence, vertex_colors
 from .ranks import check_beta, rank_violations
@@ -277,7 +277,11 @@ def extract_matching_system(
             continue
         string_index[len(equations)] = (e1, e2)
         equations.append((tuple(lhs), tuple(rhs)))
-    system = make_system(equations, var_names=var_names)
+    try:
+        system = make_system(equations, var_names=var_names)
+    except InputError as e:
+        # the equations come from a validated quiver, so this is an extractor bug
+        raise InvariantError(f"extracted system is invalid: {e}") from e
     used = {a for lhs, rhs in equations for a in lhs + rhs}
     free = tuple(a for a in var_names if a not in used)
     return MatchingSystemExtract(

@@ -13,6 +13,7 @@ import re
 import shlex
 import signal
 import time
+from dataclasses import replace
 
 import jsonschema
 import pytest
@@ -422,6 +423,23 @@ def test_invariant_error_maps_to_exit_2(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["error"]["kind"] == "invariant"
     jsonschema.validate(payload, load_schema())
+
+
+def test_extractor_axiom_violation_exits_2(capsys, monkeypatch):
+    """Equations that break the matching axioms can only come from an
+    extractor bug, so they exit 2 with the violation, not 1."""
+    classify = peg.classify_endpoints
+
+    def with_a1(*args):
+        return [
+            replace(ep, phi=ep.phi + ("a1",)) if i % 2 and "a1" not in ep.phi else ep
+            for i, ep in enumerate(classify(*args))
+        ]
+
+    monkeypatch.setattr(peg, "classify_endpoints", with_a1)
+    code, out, err = run_cli(capsys, "presentation", model_path("running.model"))
+    assert code == 2
+    assert "not a matching system" in err
 
 
 def test_reads_model_from_stdin(capsys, monkeypatch):

@@ -68,6 +68,52 @@ def test_enumerate_points_respects_cap():
     assert pts == [(0, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("seed", [12345, 522])
+def test_hilbert_basis_equals_box_scan_on_random_systems(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        sys_ = oracle.random_matching_system(rng, max_m=4, max_l=8)
+        assert oracle.hilbert_basis(sys_) == oracle.minimal_generators_bruteforce(
+            sys_
+        ), sys_.rows
+
+
+def test_hilbert_basis_equals_box_scan_on_frozen_systems():
+    # the *_generators_frozen tests pin the box scan to the same values
+    assert oracle.hilbert_basis(closing_system()) == sorted(
+        CLOSING_GENERATORS.values()
+    )
+    assert oracle.hilbert_basis(eleven_var_system()) == ELEVEN_GENERATORS
+    assert oracle.hilbert_basis(running_system()) == RUNNING_GENERATORS
+
+
+@pytest.mark.parametrize("occupancy", [(0, 1, 1, 2, 2), (2, 2, 2, 1)])
+def test_fibers_equal_box_recomputation(occupancy):
+    """Every region point with two or more decompositions, by a box scan."""
+    d = 4
+    rng = random.Random(4099)
+    with_fibers = 0
+    for _ in range(150):
+        sys_ = oracle.random_matching_system(
+            rng, max_m=3, max_l=6, occupancy=occupancy
+        )
+        gens = oracle.hilbert_basis(sys_)
+        free = [j for j in range(sys_.num_vars) if not sys_.column_rows(j)]
+        want = []
+        for u in oracle.enumerate_points(sys_, d):
+            if not any(u) or any(u[j] for j in free):
+                continue
+            if max(sys_.fprofile(u)) > d:
+                continue
+            decs = oracle.decompositions(gens, u)
+            if len(decs) > 1:
+                want.append((u, decs))
+        want.sort(key=lambda f: (sum(f[0]), f[0]))
+        assert oracle.fibers(gens, d, sys_) == want, sys_.rows
+        with_fibers += bool(want)
+    assert with_fibers >= 5
+
+
 def test_closing_generators_frozen():
     gens = oracle.minimal_generators_bruteforce(closing_system())
     assert set(gens) == set(CLOSING_GENERATORS.values())
@@ -170,17 +216,7 @@ def _broken_presentations(pres):
     ]
 
 
-def test_verify_detects_broken_presentations(monkeypatch):
-    # the subject is the relation check, so each system's box scan runs once
-    scans = {}
-    scan = oracle.minimal_generators_bruteforce
-
-    def scan_once(sys_, cap=3):
-        if (sys_, cap) not in scans:
-            scans[sys_, cap] = scan(sys_, cap)
-        return scans[sys_, cap]
-
-    monkeypatch.setattr(oracle, "minimal_generators_bruteforce", scan_once)
+def test_verify_detects_broken_presentations():
     rng = random.Random(2718)
     cases = [(s, presentation(s)) for s in (closing_system(), running_system())]
     while len(cases) < 42:
@@ -190,7 +226,8 @@ def test_verify_detects_broken_presentations(monkeypatch):
         if pres.relations:
             cases.append((sys_, pres))
     for sys_, pres in cases:
-        gens = scan_once(sys_)
+        # the box scan runs once per system, shared by its four mutants
+        gens = oracle.minimal_generators_bruteforce(sys_)
         orels = oracle.toric_relations_bruteforce(
             gens, max(4, pres.relation_cap), system=sys_
         )
