@@ -17,7 +17,7 @@ import random
 import sys
 
 from gentle_si.cli import CliConfig, main, parse_model, run_command
-from gentle_si.matching import presentation
+from gentle_si.matching import make_system, presentation
 from gentle_si.oracle import random_matching_system
 
 GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "goldens"
@@ -44,6 +44,35 @@ def random_presentations_digest(seed: int = 777, count: int = 400) -> str:
     h = hashlib.sha256()
     for _ in range(count):
         d = presentation(random_matching_system(rng)).as_dict()
+        h.update((json.dumps(d, sort_keys=True) + "\n").encode("utf-8"))
+    return h.hexdigest()
+
+
+# sha256 over the same lines for relation-rich systems: the first 300
+# random_matching_system(random.Random(2718), occupancy=(2, 2, 2, 1)) draws
+# with at least 5 variables, then chain(k, w) for (3, 2), (4, 2), (5, 2),
+# (3, 3) and the Segre system of n = 2..8 (chain(1, n))
+RICH_DIGEST_NAME = "relation_rich_presentations.sha256"
+
+
+def chain_system(k: int, w: int):
+    """Equation i reads u(i,1) + ... + u(i,w) = u(i+1,1) + ... + u(i+1,w)."""
+    group = [[f"u{i}_{j}" for j in range(1, w + 1)] for i in range(1, k + 2)]
+    return make_system([(group[i], group[i + 1]) for i in range(k)])
+
+
+def relation_rich_presentations_digest() -> str:
+    rng = random.Random(2718)
+    systems = []
+    while len(systems) < 300:
+        sys_ = random_matching_system(rng, occupancy=(2, 2, 2, 1))
+        if sys_.num_vars >= 5:
+            systems.append(sys_)
+    systems += [chain_system(k, w) for k, w in ((3, 2), (4, 2), (5, 2), (3, 3))]
+    systems += [chain_system(1, n) for n in range(2, 9)]
+    h = hashlib.sha256()
+    for sys_ in systems:
+        d = presentation(sys_).as_dict()
         h.update((json.dumps(d, sort_keys=True) + "\n").encode("utf-8"))
     return h.hexdigest()
 
@@ -97,6 +126,10 @@ def run() -> int:
         random_presentations_digest() + "\n", encoding="utf-8"
     )
     print(f"wrote {DIGEST_NAME}")
+    (GOLDENS / RICH_DIGEST_NAME).write_text(
+        relation_rich_presentations_digest() + "\n", encoding="utf-8"
+    )
+    print(f"wrote {RICH_DIGEST_NAME}")
     (GOLDENS / QUIVER_DIGEST_NAME).write_text(
         quiver_outputs_digest() + "\n", encoding="utf-8"
     )

@@ -17,6 +17,7 @@ same answers by brute force.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -624,7 +625,7 @@ def generators(graph: MatchingGraph) -> list[Generator]:
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _msort(seq):
@@ -639,17 +640,27 @@ def _side_vector(vectors, side, n):
     return tuple(u)
 
 
-def _decompose_first(vectors, rem, start=0):
-    """One expression of rem as a sum of vectors[start:], by index."""
+def _decompose_first(vectors, rem, start, memo):
+    """One expression of rem as a sum of vectors[start:], by index.
+
+    memo caches each answer, None included, under (rem, start).
+    """
     if not any(rem):
         return ()
-    for i in range(start, len(vectors)):
-        g = vectors[i]
-        if all(gi <= ri for gi, ri in zip(g, rem)):
-            sub = _decompose_first(vectors, tuple(ri - gi for ri, gi in zip(rem, g)), i)
-            if sub is not None:
-                return (i,) + sub
-    return None
+    key = (rem, start)
+    if key not in memo:
+        out = None
+        for i in range(start, len(vectors)):
+            g = vectors[i]
+            if all(gi <= ri for gi, ri in zip(g, rem)):
+                sub = _decompose_first(
+                    vectors, tuple(map(operator.sub, rem, g)), i, memo
+                )
+                if sub is not None:
+                    out = (i,) + sub
+                    break
+        memo[key] = out
+    return memo[key]
 
 
 def _cancel(lhs, rhs):
@@ -727,18 +738,34 @@ def _swap_candidates(dec, left, right, provenance, cands):
     """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
 
     p1 < p2 run over left and q1 < q2 over right. Each side decomposition
-    dec(p + q) is computed once per pair and read from a table. For fixed
-    q1, q2 the two sides differ by d(p1) - d(p2), where d(p) is the signed
-    multiset dec(p+q1) - dec(p+q2); equal differences give trivial
-    relations, so one relation is formed per pair of distinct differences.
+    dec(p + q) is computed once per pair and read from a table, beside its
+    generator counts packed into one int c(p, q), one base-2^w digit per
+    generator. With 2^(w-1) > 2M, M the longest decomposition, every digit
+    of r = c(p1,q1) - c(p1,q2) - c(p2,q1) + c(p2,q2) is a signed count, so
+    r is the relation's signed generator counts: r = 0 is a trivial swap and
+    -r is the same relation with its sides swapped. For fixed q1, q2,
+    r = d(p1) - d(p2) with d(p) = c(p,q1) - c(p,q2), so only rows with
+    distinct differences are paired, and each relation is formed once, by
+    cancelling the first quadruple that gives its r or -r.
     """
     if len(left) < 2 or len(right) < 2:
         return
     table = [[dec(_vadd(p, q)) for q in right] for p in left]
+    w = (2 * max(len(d) for row in table for d in row)).bit_length() + 1
+    packed = [[sum(1 << (w * i) for i in d) for d in row] for row in table]
+    seen = set()
     for j1, j2 in itertools.combinations(range(len(right)), 2):
-        diffs = dict.fromkeys(_cancel(row[j1], row[j2]) for row in table)
-        for (pos1, neg1), (pos2, neg2) in itertools.combinations(diffs, 2):
-            a, b = _cancel(pos1 + neg2, neg1 + pos2)
+        first = {}
+        for i, row in enumerate(packed):
+            first.setdefault(row[j1] - row[j2], i)
+        for (d1, i1), (d2, i2) in itertools.combinations(first.items(), 2):
+            r = d1 - d2
+            if r in seen or -r in seen:
+                continue
+            seen.add(r)
+            a, b = _cancel(
+                table[i1][j1] + table[i2][j2], table[i1][j2] + table[i2][j1]
+            )
             require(bool(a) and bool(b), "relation with an empty side")
             a, b = _msort(a), _msort(b)
             if (len(b), b) < (len(a), a):
@@ -780,15 +807,18 @@ def _h_candidates(graph, dec):
 def _decomposer(gens: list[Generator]):
     """dec(target): target as a sum of non-free generators, by generator index.
 
-    Each target is decomposed once and then read from a local cache.
+    Each target is decomposed once and then read from a local cache. Every
+    target shares one memo of _decompose_first sub-results, so a remainder
+    met under one target is not searched again under another.
     """
     searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
     svecs = [gens[i].vector for i in searchable]
     cache: dict[tuple, tuple] = {}
+    memo: dict[tuple, Optional[tuple]] = {}
 
     def dec(target):
         if target not in cache:
-            local = _decompose_first(svecs, target)
+            local = _decompose_first(svecs, target, 0, memo)
             require(
                 local is not None,
                 "configuration side does not decompose into generators",
@@ -799,13 +829,16 @@ def _decomposer(gens: list[Generator]):
     return dec
 
 
-def _prune(cands, gens: list[Generator], num_vars: int) -> list[Relation]:
+def _prune(
+    cands, gens: list[Generator], num_vars: int
+) -> tuple[list[Relation], list[tuple[int, ...]]]:
     """Distinct candidates kept greedily unless the kept ones imply them.
 
     Candidates are taken in order of (total, vector) of their side sums. A
     relation can only rewrite multisets whose sum dominates its side sum, so
     this order presents each fiber after every fiber below it. A relation
-    formed more than once keeps its first provenance.
+    formed more than once keeps its first provenance. Returns the kept
+    relations and, in the same order, their side sums.
     """
     vectors = [g.vector for g in gens]
     first: dict[tuple, str] = {}
@@ -818,10 +851,12 @@ def _prune(cands, gens: list[Generator], num_vars: int) -> list[Relation]:
     ordered.sort()
     congruence = _Congruence()
     out = []
-    for (_, _, rel), prov in ordered:
+    sums = []
+    for (_, v, rel), prov in ordered:
         if congruence.implies(*rel):
             continue
         congruence.add(rel)
+        sums.append(v)
         out.append(
             Relation(
                 lhs=tuple(gens[i].name for i in rel[0]),
@@ -829,7 +864,7 @@ def _prune(cands, gens: list[Generator], num_vars: int) -> list[Relation]:
                 provenance=prov,
             )
         )
-    return out
+    return out, sums
 
 
 # the reported relation_cap never drops below the oracle's
@@ -851,12 +886,8 @@ def presentation(sys_: MatchingSystem) -> Presentation:
     gens = generators(graph)
     dec = _decomposer(gens)
     cands = _x_candidates(graph, dec) + _h_candidates(graph, dec)
-    relations = _prune(cands, gens, sys_.num_vars)
-    vector = {g.name: g.vector for g in gens}
-    cap = RELATION_CAP_FLOOR
-    for rel in relations:
-        u = _side_vector(vector, rel.lhs, sys_.num_vars)
-        cap = max(cap, max(sys_.fprofile(u), default=0))
+    relations, sums = _prune(cands, gens, sys_.num_vars)
+    cap = max([RELATION_CAP_FLOOR] + [max(sys_.fprofile(u), default=0) for u in sums])
     return Presentation(
         system=sys_,
         graph=graph,

@@ -257,7 +257,8 @@ def _pruned(form, sys_):
     """The relations one candidate kind keeps on its own, and the generators."""
     g = build_graph(sys_)
     gens = generators(g)
-    return _prune(form(g, _decomposer(gens)), gens, sys_.num_vars), gens
+    rels, _ = _prune(form(g, _decomposer(gens)), gens, sys_.num_vars)
+    return rels, gens
 
 
 def test_find_x_closing_contains_swap_relation():
@@ -341,7 +342,7 @@ def test_presentation_as_dict_shape(running_pres):
         assert "walk" in g
 
 
-@pytest.mark.parametrize("k,w", [(3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("k,w", [(3, 2), (4, 2), (5, 2), (3, 3)])
 def test_chained_system_closed_form(k, w):
     """chain(k, w): equation i reads u(i,1) + ... + u(i,w) = u(i+1,1) + ...
     + u(i+1,w). Its ring is the Segre product of k + 1 polynomial rings in w
@@ -430,6 +431,35 @@ def test_random_presentations_match_golden_digest():
         d = presentation(oracle.random_matching_system(rng)).as_dict()
         h.update((json.dumps(d, sort_keys=True) + "\n").encode("utf-8"))
     assert h.hexdigest() == RANDOM_DIGEST.read_text(encoding="utf-8").split()[0]
+
+
+RICH_DIGEST = (
+    pathlib.Path(__file__).parent / "goldens" / "relation_rich_presentations.sha256"
+)
+
+
+def _rich_systems(seed, count):
+    """The first count draws of the (2, 2, 2, 1) mix with at least 5 variables."""
+    rng = random.Random(seed)
+    while count:
+        sys_ = oracle.random_matching_system(rng, occupancy=(2, 2, 2, 1))
+        if sys_.num_vars >= 5:
+            count -= 1
+            yield sys_
+
+
+def test_relation_rich_presentations_match_golden_digest():
+    """300 seeded systems from a mix rich in two-row columns (121 of them with
+    relations, 1,498 in all), then chained and Segre systems, present
+    exactly as recorded."""
+    systems = list(_rich_systems(2718, 300))
+    systems += [_chain_system(k, w) for k, w in ((3, 2), (4, 2), (5, 2), (3, 3))]
+    systems += [_chain_system(1, n) for n in range(2, 9)]
+    h = hashlib.sha256()
+    for sys_ in systems:
+        d = presentation(sys_).as_dict()
+        h.update((json.dumps(d, sort_keys=True) + "\n").encode("utf-8"))
+    assert h.hexdigest() == RICH_DIGEST.read_text(encoding="utf-8").split()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +616,8 @@ def _reference_systems():
         rng = random.Random(seed)
         for _ in range(count):
             yield oracle.random_matching_system(rng, max_m=max_m, max_l=max_l)
+    yield from _rich_systems(1618, 150)
+    yield _chain_system(3, 3)
 
 
 def _distinct_candidates(graph, gens):
@@ -599,8 +631,9 @@ def _distinct_candidates(graph, gens):
 
 
 def test_candidates_and_bands_match_references(monkeypatch):
-    """One relation per distinct difference pair gives the quadruple scan's
-    candidates, provenance included; bands match canonicalising every closure."""
+    """One relation per distinct signed generator count gives the quadruple
+    scan's candidates, provenance included; bands match canonicalising every
+    closure."""
     for sys_ in _reference_systems():
         graph = build_graph(sys_)
         assert enumerate_bands(graph) == _bands_from_every_closure(graph)
@@ -613,8 +646,9 @@ def test_candidates_and_bands_match_references(monkeypatch):
 
 
 def test_closing_candidate_step_forms_few_relations(monkeypatch):
-    """closing.model: about a thousand relations formed, not one per quadruple
-    (20,222 quadruples, 10,065 of them non-trivial)."""
+    """closing.model: each distinct relation is formed once per configuration,
+    45 in all, not one per quadruple (20,222 quadruples, 10,065 of them
+    non-trivial) nor one per pair of distinct row differences (1,028)."""
     formed = []
     swap = matching._swap_candidates
 
@@ -626,7 +660,19 @@ def test_closing_candidate_step_forms_few_relations(monkeypatch):
     monkeypatch.setattr(matching, "_swap_candidates", counted)
     graph = build_graph(closing_system())
     _distinct_candidates(graph, generators(graph))
-    assert 0 < sum(formed) <= 1100
+    assert 0 < sum(formed) <= 60
+
+
+def test_swap_candidates_keep_counts_apart_in_packed_keys():
+    """Row differences (g1, g1) - (g2) and (g2) - (g1, g1, g2) differ, but
+    both pack to -8 in base 4; the base must leave room for every signed
+    count, or the one relation between the rows is never formed."""
+    dec = {(0,): (1, 1), (1,): (2,), (20,): (2,), (21,): (1, 1, 2)}.__getitem__
+    left, right = [(0,), (20,)], [(0,), (1,)]
+    got, want = [], []
+    matching._swap_candidates(dec, left, right, "p", got)
+    _quadruple_swap_candidates(dec, left, right, "p", want)
+    assert got == want == [(((2,), (1, 1, 1, 1)), "p")]
 
 
 def test_closing_bands_canonicalise_few_closures(monkeypatch):
