@@ -16,6 +16,7 @@ same answers by brute force.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -509,17 +510,27 @@ def _walk_sort_key(graph, w: Walk):
     return (len(w.edges), _tokens(graph, w.vertices, w.edges))
 
 
-def _expressible(v, vecs, memo) -> bool:
-    """Whether v is a sum of the nonzero vectors vecs; memo caches answers."""
-    if not any(v):
-        return True
-    if v not in memo:
-        memo[v] = any(
-            all(gi <= vi for gi, vi in zip(g, v))
-            and _expressible(tuple(vi - gi for vi, gi in zip(v, g)), vecs, memo)
-            for g in vecs
-        )
-    return memo[v]
+def _decompose_first(vectors, rem, start, memo):
+    """One expression of rem as a sum of vectors[start:], by index.
+
+    memo caches each answer, None included, under (rem, start).
+    """
+    if not any(rem):
+        return ()
+    key = (rem, start)
+    if key not in memo:
+        out = None
+        for i in range(start, len(vectors)):
+            g = vectors[i]
+            if all(gi <= ri for gi, ri in zip(g, rem)):
+                sub = _decompose_first(
+                    vectors, tuple(map(operator.sub, rem, g)), i, memo
+                )
+                if sub is not None:
+                    out = (i,) + sub
+                    break
+        memo[key] = out
+    return memo[key]
 
 
 def enumerate_irreducible_walks(
@@ -536,20 +547,15 @@ def enumerate_irreducible_walks(
         cur = best.get(u)
         if cur is None or _walk_sort_key(graph, w) < _walk_sort_key(graph, cur):
             best[u] = w
-    vecs = set(best)
-    memo: dict[tuple, bool] = {}
+    # a split of u uses only vectors of smaller total; by descending total
+    # these are the suffix after the last vector of total at least sum(u)
+    vecs = sorted(best, key=sum, reverse=True)
+    neg_totals = [-sum(v) for v in vecs]
+    memo: dict[tuple, Optional[tuple]] = {}
     out = []
-    for u in sorted(vecs, key=lambda v: (sum(v), v)):
-        reducible = False
-        for g in vecs:
-            if g == u:
-                continue
-            if all(gi <= ui for gi, ui in zip(g, u)):
-                rest = tuple(ui - gi for ui, gi in zip(u, g))
-                if any(rest) and _expressible(rest, vecs, memo):
-                    reducible = True
-                    break
-        if not reducible:
+    for u in sorted(best, key=lambda v: (sum(v), v)):
+        start = bisect.bisect_right(neg_totals, -sum(u))
+        if _decompose_first(vecs, u, start, memo) is None:
             out.append((u, best[u]))
     return out
 
@@ -638,29 +644,6 @@ def _side_vector(vectors, side, n):
         for j, x in enumerate(vectors[i]):
             u[j] += x
     return tuple(u)
-
-
-def _decompose_first(vectors, rem, start, memo):
-    """One expression of rem as a sum of vectors[start:], by index.
-
-    memo caches each answer, None included, under (rem, start).
-    """
-    if not any(rem):
-        return ()
-    key = (rem, start)
-    if key not in memo:
-        out = None
-        for i in range(start, len(vectors)):
-            g = vectors[i]
-            if all(gi <= ri for gi, ri in zip(g, rem)):
-                sub = _decompose_first(
-                    vectors, tuple(map(operator.sub, rem, g)), i, memo
-                )
-                if sub is not None:
-                    out = (i,) + sub
-                    break
-        memo[key] = out
-    return memo[key]
 
 
 def _cancel(lhs, rhs):

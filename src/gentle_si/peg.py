@@ -62,7 +62,8 @@ def build_peg(
     bad = rank_violations(q, c, beta, r)
     if bad:
         raise InputError(f"not a rank sequence, violations at {bad}")
-    for v, colors in vertex_colors(q, c).items():
+    colors_at = vertex_colors(q, c)
+    for v, colors in colors_at.items():
         if len(colors) > 2:
             raise InputError(f"vertex {v} carries {len(colors)} colors")
 
@@ -73,7 +74,7 @@ def build_peg(
     root_set = set(roots)
 
     vertex_edges = set()
-    for x, colors in vertex_colors(q, c).items():
+    for x, colors in colors_at.items():
         if len(colors) != 2:
             continue
         s1, s2 = colors

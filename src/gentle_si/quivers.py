@@ -257,14 +257,6 @@ def color_classes(q: Quiver, c: Coloring) -> dict[str, list[str]]:
     return out
 
 
-def color_path_vertices(q: Quiver, c: Coloring, s: str) -> list[str]:
-    names = color_classes(q, c)[s]
-    verts = [q.arrow(names[0]).tail]
-    for n in names:
-        verts.append(q.arrow(n).head)
-    return verts
-
-
 def monochromatic_ideal(q: Quiver, c: Coloring) -> RelationSet:
     """All composable same-color pairs. For valid colorings these are the
     consecutive pairs along each color path."""

@@ -20,16 +20,9 @@ arrow id -> int).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InputError
-from .quivers import (
-    Coloring,
-    Quiver,
-    color_classes,
-    color_incidence,
-    color_path_vertices,
-)
+from .quivers import Coloring, Quiver, color_classes, color_incidence
 
 
 def check_beta(q: Quiver, beta: dict[str, int]) -> None:
@@ -67,12 +60,6 @@ def rank_violations(
     return [key for key, slack in _slack(q, c, beta, r).items() if slack < 0]
 
 
-def is_rank_sequence(
-    q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
-) -> bool:
-    return not rank_violations(q, c, beta, r)
-
-
 def is_maximal_rank(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
 ) -> bool:
@@ -90,35 +77,6 @@ def is_maximal_rank(
     return all(
         slack[a.tail, c.color(a.name)] == 0 or slack[a.head, c.color(a.name)] == 0
         for a in q.arrows
-    )
-
-
-@dataclass(frozen=True)
-class ColorRestriction:
-    """One color path with the dimensions and ranks read off along it."""
-
-    color: str
-    vertex_path: tuple[str, ...]
-    beta_s: tuple[int, ...]
-    r_s: tuple[int, ...]
-
-
-def restrict_to_color(
-    q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int], s: str
-) -> ColorRestriction:
-    check_beta(q, beta)
-    if s not in c.colors():
-        raise InputError(f"unknown color {s}")
-    names = color_classes(q, c)[s]
-    verts = color_path_vertices(q, c, s)
-    for a in names:
-        if a not in r:
-            raise InputError(f"rank sequence missing arrow {a}")
-    return ColorRestriction(
-        color=s,
-        vertex_path=tuple(verts),
-        beta_s=tuple(beta[v] for v in verts),
-        r_s=tuple(r[a] for a in names),
     )
 
 
@@ -161,7 +119,8 @@ def maximal_rank_sequences(
     per_color = []
     for s in sorted(classes):
         names = classes[s]
-        beta_path = [beta[v] for v in color_path_vertices(q, c, s)]
+        path = [q.arrow(names[0]).tail] + [q.arrow(n).head for n in names]
+        beta_path = [beta[v] for v in path]
         per_color.append([dict(zip(names, pt)) for pt in _color_maximal(beta_path)])
     order = sorted(q.arrow_names())
     combined = []

@@ -355,21 +355,6 @@ class SiGenerator:
         }
 
 
-def multigrading(ctx: PegContext, gens: Sequence) -> dict[str, tuple[int, ...]]:
-    """Component value vector for each named generator.
-
-    Accepts translated SiGenerator records or raw engine generators, which
-    carry no band part.
-    """
-    out = {}
-    for g in gens:
-        if hasattr(g, "u"):
-            out[g.name] = component_values(ctx, g.u, g.y)
-        else:
-            out[g.name] = component_values(ctx, g.vector)
-    return out
-
-
 @dataclass
 class SiPresentation:
     """Finite presentation data for the invariant ring of one rank component."""

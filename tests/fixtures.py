@@ -19,7 +19,10 @@ def closing_system():
     )
 
 
-# frozen from the brute-force oracle (scripts/freeze_oracle_values.py)
+# frozen from the brute-force oracle; tests/test_oracle.py pins them in
+# test_closing_generators_frozen, test_closing_relations_frozen,
+# test_eleven_var_generators_frozen and
+# test_running_generators_and_relation_frozen
 CLOSING_GENERATORS = {
     "X1": (1, 0, 0, 0, 1, 0, 0, 0, 0, 0),
     "X2": (0, 0, 0, 0, 0, 1, 0, 0, 0, 1),

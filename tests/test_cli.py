@@ -184,34 +184,47 @@ def test_golden_matches_schema(out_name):
     jsonschema.validate(payload, load_schema())
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("validate", "running.model"),
-        ("validate", "closing.model"),
-        ("validate", "cover.model"),
-        ("color", "running.model"),
-        ("color", "path.model"),
-        ("components", "running.model"),
-        ("peg", "running.model"),
-        ("peg", "determinant.model"),
-        ("generators", "running.model"),
-        ("generators", "closing.model"),
-        ("relations", "running.model"),
-        ("relations", "closing.model"),
-        ("presentation", "closing.model"),
-        ("presentation", "determinant.model"),
-        ("presentation", "path.model"),
-        ("degrees", "running.model"),
-        ("degrees", "path.model"),
-        ("verify", "running.model"),
-    ],
-)
+# one argument list per bundled report: the JSON runs are schema-checked,
+# the text runs must print something
+REPORT_ARGV = [
+    ("validate", "running.model"),
+    ("validate", "closing.model"),
+    ("validate", "cover.model"),
+    ("color", "running.model"),
+    ("color", "path.model"),
+    ("components", "running.model"),
+    ("peg", "running.model"),
+    ("peg", "determinant.model"),
+    ("generators", "running.model"),
+    ("generators", "closing.model"),
+    ("relations", "running.model"),
+    ("relations", "closing.model"),
+    ("presentation", "closing.model"),
+    ("presentation", "determinant.model"),
+    ("presentation", "path.model"),
+    ("degrees", "running.model"),
+    ("degrees", "path.model"),
+    ("verify", "running.model"),
+    ("cover", "cover.model"),
+    ("presentation", "running.model"),
+    ("verify", "closing.model"),
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV)
 def test_every_json_report_matches_schema(capsys, argv):
     full = [model_path(a) if a.endswith(".model") else a for a in argv]
     code, out, err = run_cli(capsys, *full, "--json")
     assert code == 0
     jsonschema.validate(json.loads(out), load_schema())
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV)
+def test_every_text_report_prints(capsys, argv):
+    full = [model_path(a) if a.endswith(".model") else a for a in argv]
+    code, out, err = run_cli(capsys, *full)
+    assert code == 0, err
+    assert out.strip()
 
 
 def test_error_object_matches_schema(capsys):

@@ -1,9 +1,11 @@
-"""Error-handling rules that hold across the package source."""
+"""Rules that hold across the package source: errors, parameters, callers."""
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gentle_si"
+ROOT = SRC.parent.parent
 
 
 def test_invariants_use_require_not_assert():
@@ -58,3 +60,50 @@ def test_every_parameter_is_read():
     assert files
     found = [hit for path in files for hit in _unused_parameters(path)]
     assert not found, f"parameters never read: {found}"
+
+
+# public names kept for the paper or the tests alone, each with its reason
+UNCALLED_ON_PURPOSE = {
+    "theta": "the paper's endpoint involution on strings; tests check it is one",
+    "roundtrip_uy": "the paper's inverse of lambda_from_uy; tests check the roundtrip",
+    "component_values": "the paper's grading by components; tests check grades by it",
+    "congruent": "oracle reference for relation congruence, read by tests",
+    "maximal_rank_sequences_bruteforce": "oracle reference for maximal ranks",
+    "random_colored_quiver": "oracle sampler of random colored quivers for tests",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """A public def or class no program file names is dead, or is allow-listed.
+
+    The allow-list stays exact: a listed name that gains a caller or is
+    deleted must leave it.
+    """
+    program = [
+        p
+        for part in ("src", "scripts", "bench")
+        for p in sorted((ROOT / part).rglob("*.py"))
+    ]
+    assert program
+    texts = {p: p.read_text(encoding="utf-8") for p in program}
+    uncalled = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(texts[path], filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                word.search(line)
+                for p, text in texts.items()
+                for i, line in enumerate(text.splitlines(), 1)
+                if p != path or i not in own
+            ):
+                uncalled[node.name] = f"{path.name}:{node.lineno}:{node.name}"
+    dead = [w for name, w in uncalled.items() if name not in UNCALLED_ON_PURPOSE]
+    assert not dead, f"public names with no caller outside tests: {dead}"
+    stale = sorted(set(UNCALLED_ON_PURPOSE) - set(uncalled))
+    assert not stale, f"allow-listed names that have a caller or are gone: {stale}"

@@ -16,40 +16,37 @@ from gentle_si.ranks import (
     _color_maximal,
     check_beta,
     is_maximal_rank,
-    is_rank_sequence,
     maximal_rank_sequences,
     rank_violations,
-    restrict_to_color,
 )
 from gentle_si.si import si_presentation
 
 
 def test_running_full_rank_is_admissible():
     q, c, beta, r = running_example()
-    assert is_rank_sequence(q, c, beta, r)
+    assert rank_violations(q, c, beta, r) == []
 
 
 def test_running_overflow_at_vertex_four():
     q, c, beta, r = running_example()
     bad = dict(r, b2=3)
-    assert not is_rank_sequence(q, c, beta, bad)
     assert rank_violations(q, c, beta, bad) == [("4", "b")]
 
 
 def test_zero_ranks_always_admissible():
     q, c, beta, _ = running_example()
     zero = {a: 0 for a in q.arrow_names()}
-    assert is_rank_sequence(q, c, beta, zero)
+    assert rank_violations(q, c, beta, zero) == []
 
 
 def test_missing_entries_raise():
     q, c, beta, r = running_example()
     partial = dict(r)
     del partial["c1"]
-    with pytest.raises(InputError):
-        is_rank_sequence(q, c, beta, partial)
-    with pytest.raises(InputError):
-        is_rank_sequence(q, c, {"1": 2}, r)
+    with pytest.raises(InputError, match="rank sequence missing arrow c1"):
+        rank_violations(q, c, beta, partial)
+    with pytest.raises(InputError, match="dimension vector missing vertex"):
+        rank_violations(q, c, {"1": 2}, r)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, "2", None])
@@ -71,25 +68,7 @@ def test_bad_rank_is_input_error(bad):
     with pytest.raises(InputError, match="rank at b2"):
         rank_violations(q, c, beta, r)
     with pytest.raises(InputError, match="rank at b2"):
-        is_rank_sequence(q, c, beta, r)
-
-
-def test_restrict_to_color_b():
-    q, c, beta, r = running_example()
-    res = restrict_to_color(q, c, beta, r, "b")
-    assert res.vertex_path == ("1", "2", "4", "5")
-    assert res.beta_s == (2, 6, 4, 2)
-    assert res.r_s == (2, 2, 2)
-
-
-def test_restrict_to_color_c():
-    q, c, beta, r = running_example()
-    res = restrict_to_color(q, c, beta, r, "c")
-    assert res.vertex_path == ("3", "4", "5")
-    assert res.beta_s == (2, 4, 2)
-    assert res.r_s == (2, 2)
-    with pytest.raises(InputError):
-        restrict_to_color(q, c, beta, r, "z")
+        is_maximal_rank(q, c, beta, r)
 
 
 def test_path_maximal_ranks_dimension_one():
@@ -111,7 +90,7 @@ def test_running_maximal_ranks():
     variant = dict(r, b2=3, b3=1)
     assert variant in got
     for cand in got:
-        assert is_rank_sequence(q, c, beta, cand)
+        assert rank_violations(q, c, beta, cand) == []
     order = sorted(q.arrow_names())
     tuples = [tuple(cand[a] for a in order) for cand in got]
     for i, p in enumerate(tuples):
@@ -173,7 +152,7 @@ def test_random_maximal_ranks_match_bruteforce(seed):
     got = maximal_rank_sequences(q, c, beta)
     assert got == oracle.maximal_rank_sequences_bruteforce(q, c, beta)
     for cand in got:
-        assert is_rank_sequence(q, c, beta, cand)
+        assert rank_violations(q, c, beta, cand) == []
 
 
 def test_is_maximal_rank_on_running_example():

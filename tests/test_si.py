@@ -16,13 +16,14 @@ from fixtures import (
 import gentle_si.si as si_module
 from gentle_si import oracle
 from gentle_si.errors import InputError, InvariantError
+from gentle_si.quivers import Arrow, Coloring, Quiver
+from gentle_si.ranks import maximal_rank_sequences
 from gentle_si.si import (
     component_labels,
     component_values,
     degree_bounds,
     generator_degree,
     lambda_from_uy,
-    multigrading,
     peg_context,
     roundtrip_uy,
     root_jumps,
@@ -195,13 +196,16 @@ def test_running_component_labels():
     ]
 
 
-def test_multigrading_matches_presentation():
+def test_grades_match_component_values():
+    """Each grade is the element's component values; raw engine vectors,
+    which carry no band part, grade the same."""
     pres = si_presentation(*running_example())
+    ctx = pres.context
     grading = {g.name: g.grade for g in pres.generators}
-    assert multigrading(pres.context, pres.generators) == grading
-    raw = multigrading(pres.context, pres.matching.generators)
+    for g in pres.generators:
+        assert g.grade == component_values(ctx, g.u, g.y)
     for g in pres.matching.generators:
-        assert raw[g.name] == grading[g.name]
+        assert component_values(ctx, g.vector) == grading[g.name]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,64 @@ def test_roundtrip_requires_full_partitions():
     lam["a1"] = (0,)
     with pytest.raises(InputError):
         roundtrip_uy(ctx, lam)
+
+
+# ---------------------------------------------------------------------------
+# closed forms from classical invariant theory
+#
+# With every arrow its own color there are no relations in the algebra, and
+# Skowronski & Weyman, Transform. Groups 5 (2000), give the ring: polynomial
+# for Dynkin quivers, polynomial or a hypersurface for Euclidean ones.
+
+def present_own_colors(q, beta):
+    """si_presentation with one color per arrow, on its one maximal rank sequence."""
+    c = Coloring({a.name: f"s{a.name}" for a in q.arrows})
+    (r,) = maximal_rank_sequences(q, c, beta)
+    return si_presentation(q, c, beta, r)
+
+
+def oriented(pairs, flips):
+    """Arrow a<i> along pairs[i], reversed where flips[i] is set."""
+    return [
+        Arrow(f"a{i}", y, x) if flip else Arrow(f"a{i}", x, y)
+        for i, ((x, y), flip) in enumerate(zip(pairs, flips))
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kronecker_ring_is_polynomial_in_degree_d(d):
+    """beta = (d, d): the d + 1 coefficients of det(sA + tB), no relations."""
+    q = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+    pres = present_own_colors(q, {"1": d, "2": d})
+    assert len(pres.generators) == d + 1
+    assert {g.degree for g in pres.generators} == {d}
+    assert pres.matching.relations == []
+
+
+def test_type_a_rings_are_polynomial():
+    """A_n in random orientations, n <= 20 and beta <= 8: no relations."""
+    rng = random.Random(4)
+    for _ in range(100):
+        vs = [str(i) for i in range(rng.randint(1, 20))]
+        pairs = list(zip(vs, vs[1:]))
+        q = Quiver(vs, oriented(pairs, [rng.random() < 0.5 for _ in pairs]))
+        beta = {v: rng.randint(0, 8) for v in vs}
+        assert present_own_colors(q, beta).matching.relations == [], (q.arrows, beta)
+
+
+def test_affine_type_a_rings_have_at_most_one_relation():
+    """Acyclic affine A_n, n <= 12 and beta <= 6: polynomial or a hypersurface."""
+    rng = random.Random(5)
+    for _ in range(100):
+        vs = [str(i) for i in range(rng.randint(2, 13))]
+        cycle = list(zip(vs, vs[1:] + vs[:1]))
+        flips = [rng.random() < 0.5 for _ in cycle]
+        if all(flips) or not any(flips):
+            flips[0] = not flips[0]  # a directed cycle is not a quiver here
+        q = Quiver(vs, oriented(cycle, flips))
+        beta = {v: rng.randint(0, 6) for v in vs}
+        rels = present_own_colors(q, beta).matching.relations
+        assert len(rels) <= 1, (q.arrows, beta)
 
 
 # ---------------------------------------------------------------------------
