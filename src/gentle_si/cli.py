@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from .errors import InputError, InvariantError, ValidationReport, require
 from .matching import (
     MatchingSystem,
+    _from_sides,
     build_graph,
     generators as walk_generators,
     presentation,
@@ -244,23 +245,9 @@ def _assemble_system(
     m = len(eqs)
     if set(eqs) != set(range(1, m + 1)):
         raise InputError("equation indices must be 1..m without gaps")
-    order = list(var_decls)
-    known = set(order)
-    for j in range(1, m + 1):
-        for side in eqs[j]:
-            for n in side:
-                if n not in known:
-                    known.add(n)
-                    order.append(n)
-    idx = {n: j for j, n in enumerate(order)}
-    rows = []
-    for offset in (0, 1):
-        for j in range(1, m + 1):
-            row = [0] * len(order)
-            for n in eqs[j][offset]:
-                row[idx[n]] = 1
-            rows.append(tuple(row))
-    return MatchingSystem(m=m, var_names=tuple(order), rows=tuple(rows))
+    sides = [side for j in range(1, m + 1) for side in eqs[j]]
+    order = dict.fromkeys([*var_decls, *(n for side in sides for n in side)])
+    return _from_sides(sides, list(order))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +264,22 @@ def _model_quiver(model: ModelFile) -> Quiver:
     return model.q
 
 
-def _pipeline_coloring(model: ModelFile) -> Coloring:
+def _model_coloring(model: ModelFile) -> tuple[Quiver, Coloring, bool]:
+    """The quiver, its checked coloring, and whether that was derived."""
     q = _model_quiver(model)
-    if model.coloring is not None:
-        rep = validate_coloring(q, model.coloring)
-        if not rep.ok:
-            raise InputError(f"invalid coloring: {_first_violation(rep)}")
-        ideal = monochromatic_ideal(q, model.coloring)
+    if model.coloring is None:
+        return q, coloring_from_gentle(q, model.relations), True
+    rep = validate_coloring(q, model.coloring)
+    if not rep.ok:
+        raise InputError(f"invalid coloring: {_first_violation(rep)}")
+    return q, model.coloring, False
+
+
+def _pipeline_coloring(model: ModelFile) -> tuple[Quiver, Coloring]:
+    """The checked coloring of a model whose colored quotient must be gentle."""
+    q, c, derived = _model_coloring(model)
+    if not derived:
+        ideal = monochromatic_ideal(q, c)
         grep = is_gentle(q, ideal)
         if not grep.ok:
             raise InputError(
@@ -294,25 +290,26 @@ def _pipeline_coloring(model: ModelFile) -> Coloring:
             raise InputError(
                 "declared relations do not match the coloring's ideal"
             )
-        return model.coloring
-    return coloring_from_gentle(q, model.relations)
+    return q, c
 
 
-def _resolve_rank(
-    model: ModelFile, c: Coloring
-) -> tuple[dict[str, int], bool]:
+def _model_component(
+    model: ModelFile,
+) -> tuple[Quiver, Coloring, dict[str, int], bool]:
+    """The checked coloring and the rank component of a quiver model, and
+    whether r was derived. The quiver-side entry that reads r checks it
+    against the dimensions."""
+    q, c = _pipeline_coloring(model)
     if model.rank is not None:
-        return dict(model.rank), False
-    seqs = maximal_rank_sequences(model.q, c, model.beta)
+        return q, c, dict(model.rank), False
+    seqs = maximal_rank_sequences(q, c, model.beta)
     require(bool(seqs), "no maximal rank sequences")
-    return seqs[0], True
+    return q, c, seqs[0], True
 
 
 def _quiver_context(model: ModelFile) -> tuple[PegContext, bool]:
     """Graph context of the model's rank component, and whether r was derived."""
-    q = _model_quiver(model)
-    c = _pipeline_coloring(model)
-    r, derived = _resolve_rank(model, c)
+    q, c, r, derived = _model_component(model)
     return peg_context(q, c, model.beta, r), derived
 
 
@@ -374,14 +371,7 @@ def _cmd_validate(model: ModelFile) -> dict:
 
 
 def _cmd_color(model: ModelFile) -> dict:
-    q = _model_quiver(model)
-    if model.coloring is not None:
-        rep = validate_coloring(q, model.coloring)
-        if not rep.ok:
-            raise InputError(f"invalid coloring: {_first_violation(rep)}")
-        c, derived = model.coloring, False
-    else:
-        c, derived = coloring_from_gentle(q, model.relations), True
+    q, c, derived = _model_coloring(model)
     return {
         "command": "color",
         "derived": derived,
@@ -409,8 +399,7 @@ def _cmd_cover(model: ModelFile) -> dict:
 
 
 def _cmd_components(model: ModelFile) -> dict:
-    q = _model_quiver(model)
-    c = _pipeline_coloring(model)
+    q, c = _pipeline_coloring(model)
     return {
         "command": "components",
         "dimensions": dict(model.beta),
@@ -492,25 +481,19 @@ def _cmd_presentation(model: ModelFile) -> dict:
         payload = {"command": "presentation", "variables": list(sys_.var_names)}
         payload.update(pres.as_dict())
         return payload
-    c = _pipeline_coloring(model)
-    r, derived = _resolve_rank(model, c)
-    pres = si_presentation(model.q, c, model.beta, r)
+    q, c, r, derived = _model_component(model)
+    pres = si_presentation(q, c, model.beta, r)
     payload = {"command": "presentation", "rank_derived": derived}
     payload.update(pres.as_dict())
     return payload
 
 
 def _cmd_degrees(model: ModelFile) -> dict:
-    q = _model_quiver(model)
-    if model.rank is not None:
-        r, derived = dict(model.rank), False
-    else:
-        c = _pipeline_coloring(model)
-        r, derived = _resolve_rank(model, c)
-    gen_bound, rel_bound = degree_bounds(q, r)
+    ctx, derived = _quiver_context(model)
+    gen_bound, rel_bound = degree_bounds(ctx.q, ctx.r)
     return {
         "command": "degrees",
-        "rank": r,
+        "rank": ctx.r,
         "rank_derived": derived,
         "degree_bounds": {"generators": gen_bound, "relations": rel_bound},
     }

@@ -94,24 +94,31 @@ def make_system(
                     known.add(n)
                     order.append(n)
             sides.append(names)
-    m = len(equations)
-    idx = {n: j for j, n in enumerate(order)}
-    rows = []
-    for k in range(m):
-        row = [0] * len(order)
-        for n in sides[2 * k]:
-            row[idx[n]] = 1
-        rows.append(tuple(row))
-    for k in range(m):
-        row = [0] * len(order)
-        for n in sides[2 * k + 1]:
-            row[idx[n]] = 1
-        rows.append(tuple(row))
-    sys_ = MatchingSystem(m=m, var_names=tuple(order), rows=tuple(rows))
+    sys_ = _from_sides(sides, order)
     rep = validate_system(sys_)
     if not rep.ok:
         raise InputError(f"not a matching system: {rep.violations}")
     return sys_
+
+
+def _from_sides(
+    sides: Sequence[Sequence[str]], order: Sequence[str]
+) -> MatchingSystem:
+    """The unchecked system whose equation k reads sides[2k] = sides[2k+1].
+
+    Rows k and m+k hold the two sides of equation k over the variables in
+    order.
+    """
+    m = len(sides) // 2
+    idx = {n: j for j, n in enumerate(order)}
+    rows = []
+    for offset in (0, 1):
+        for k in range(m):
+            row = [0] * len(order)
+            for n in sides[2 * k + offset]:
+                row[idx[n]] = 1
+            rows.append(tuple(row))
+    return MatchingSystem(m=m, var_names=tuple(order), rows=tuple(rows))
 
 
 def system_from_rows(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, require
 from .matching import MatchingSystem, system_from_rows
-from .quivers import Arrow, Coloring, Quiver, color_incidence, vertex_colors
+from .quivers import Arrow, Coloring, Quiver, color_incidence
 
 
 # verify checks fibers up to at least this row count, whatever the engine reports
@@ -441,7 +441,9 @@ def verify_si_equations(
     if missing:
         raise InputError(f"vertices without dimension entry: {missing}")
     inc = color_incidence(q, c)
-    touching = vertex_colors(q, c)
+    touching: dict[str, list[str]] = {}
+    for x, s in inc:
+        touching.setdefault(x, []).append(s)
     for x in q.vertices:
         colors = touching.get(x, [])
         bx = beta[x]

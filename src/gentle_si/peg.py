@@ -16,13 +16,14 @@ arrow values, so those emit equations with an empty right side.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError, InvariantError, require
 from .matching import MatchingSystem, make_system
-from .quivers import Coloring, Quiver, color_incidence, vertex_colors
-from .ranks import check_beta, rank_violations
+from .quivers import Coloring, Incidence, Quiver
+from .ranks import _slack
 
 
 @dataclass(frozen=True, order=True)
@@ -42,9 +43,12 @@ class Root:
 
 @dataclass
 class PegGraph:
+    """The root graph, with the color incidence its roots are read from."""
+
     roots: tuple[Root, ...]
     vertex_edges: tuple[tuple[Root, Root], ...]
     colored_edges: tuple[tuple[Root, Root, str], ...]
+    inc: dict[tuple[str, str], Incidence] = field(repr=False)
     _adj: dict[Root, list[tuple[Root, str, Optional[str]]]] = field(repr=False)
 
     def neighbors(self, root: Root) -> list[tuple[Root, str, Optional[str]]]:
@@ -58,17 +62,19 @@ class PegGraph:
 def build_peg(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
 ) -> PegGraph:
-    check_beta(q, beta)
-    bad = rank_violations(q, c, beta, r)
+    inc, slack = _slack(q, c, beta, r)
+    bad = [key for key, room in slack.items() if room < 0]
     if bad:
         raise InputError(f"not a rank sequence, violations at {bad}")
-    colors_at = vertex_colors(q, c)
+    colors_at: dict[str, list[str]] = {v: [] for v in q.vertices}
+    for x, s in inc:
+        colors_at[x].append(s)
     for v, colors in colors_at.items():
         if len(colors) > 2:
             raise InputError(f"vertex {v} carries {len(colors)} colors")
 
     roots = []
-    for (x, s) in sorted(color_incidence(q, c)):
+    for (x, s) in inc:
         for i in range(1, beta[x]):
             roots.append(Root(x, s, i))
     root_set = set(roots)
@@ -110,6 +116,7 @@ def build_peg(
         roots=tuple(roots),
         vertex_edges=tuple(sorted(vertex_edges)),
         colored_edges=tuple(sorted(colored_edges)),
+        inc=inc,
         _adj=adj,
     )
 
@@ -197,15 +204,14 @@ class Endpoint:
 
 
 def classify_endpoints(
-    graph: PegGraph, q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
+    graph: PegGraph, beta: dict[str, int], r: dict[str, int]
 ) -> list[Endpoint]:
-    inc = color_incidence(q, c)
-    vcolors = vertex_colors(q, c)
+    ncolors = Counter(x for x, _ in graph.inc)
     out = []
     for root in graph.roots:
         if graph.degree(root) > 1:
             continue
-        pair = inc[(root.vertex, root.color)]
+        pair = graph.inc[(root.vertex, root.color)]
         ro = r[pair.out_arrow] if pair.out_arrow else 0
         ri = r[pair.in_arrow] if pair.in_arrow else 0
         bx = beta[root.vertex]
@@ -217,7 +223,7 @@ def classify_endpoints(
             sub, phi = "c", (pair.in_arrow,)
         else:
             sub, phi = "d", ()
-        prefix = "I" if len(vcolors[root.vertex]) == 2 else "II"
+        prefix = "I" if ncolors[root.vertex] == 2 else "II"
         out.append(Endpoint(root, prefix + sub, phi))
     return out
 
@@ -247,7 +253,7 @@ class MatchingSystemExtract:
 
 
 def extract_matching_system(
-    graph: PegGraph, q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
+    graph: PegGraph, q: Quiver, beta: dict[str, int], r: dict[str, int]
 ) -> MatchingSystemExtract:
     """One equation per string (and per forced isolated root), reduced.
 
@@ -255,7 +261,7 @@ def extract_matching_system(
     on both sides of an equation is cancelled; 0 = 0 equations are dropped.
     """
     comps = components(graph)
-    endpoint_of = {ep.root: ep for ep in classify_endpoints(graph, q, c, beta, r)}
+    endpoint_of = {ep.root: ep for ep in classify_endpoints(graph, beta, r)}
     var_names = sorted(a for a in q.arrow_names() if r[a] > 0)
     equations = []
     string_index: dict[int, tuple[Endpoint, Endpoint]] = {}

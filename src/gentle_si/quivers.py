@@ -183,7 +183,10 @@ def validate_relations(q: Quiver, rels: RelationSet) -> ValidationReport:
     return rep
 
 
-def validate_coloring(q: Quiver, c: Coloring) -> ValidationReport:
+def _color_paths(
+    q: Quiver, c: Coloring
+) -> tuple[ValidationReport, dict[str, list[str]]]:
+    """The coloring's report and, when it is ok, each color's arrows in path order."""
     rep = ValidationReport()
     missing = [a.name for a in q.arrows if a.name not in c.color_of]
     extra = [n for n in c.color_of if not q.has_arrow(n)]
@@ -192,7 +195,7 @@ def validate_coloring(q: Quiver, c: Coloring) -> ValidationReport:
     if extra:
         rep.add("domain", f"colored names not in quiver: {sorted(extra)}")
     if not rep.ok:
-        return rep
+        return rep, {}
     # one in and one out arrow per (vertex, color) at most
     seen_in: dict[tuple[str, str], str] = {}
     seen_out: dict[tuple[str, str], str] = {}
@@ -215,46 +218,34 @@ def validate_coloring(q: Quiver, c: Coloring) -> ValidationReport:
             )
         seen_in[key_in] = a.name
     if not rep.ok:
-        return rep
+        return rep, {}
     # each class must be one connected directed path
+    paths: dict[str, list[str]] = {}
     for s in c.colors():
-        names = c.class_of(s)
-        arrows = [q.arrow(n) for n in names]
+        arrows = [q.arrow(n) for n in c.class_of(s)]
         heads = {a.head for a in arrows}
         starts = [a for a in arrows if a.tail not in heads]
-        if len(starts) != 1:
+        by_tail = {a.tail: a for a in arrows}
+        chain = list(starts) if len(starts) == 1 else []
+        while chain and chain[-1].head in by_tail:
+            chain.append(by_tail[chain[-1].head])
+        if len(chain) != len(arrows):
             rep.add("connected", f"color {s} does not form a single path")
             continue
-        by_tail = {a.tail: a for a in arrows}
-        count = 0
-        cur = starts[0]
-        while True:
-            count += 1
-            nxt = by_tail.get(cur.head)
-            if nxt is None:
-                break
-            cur = nxt
-        if count != len(arrows):
-            rep.add("connected", f"color {s} does not form a single path")
-    return rep
+        paths[s] = [a.name for a in chain]
+    return rep, paths
+
+
+def validate_coloring(q: Quiver, c: Coloring) -> ValidationReport:
+    return _color_paths(q, c)[0]
 
 
 def color_classes(q: Quiver, c: Coloring) -> dict[str, list[str]]:
     """Color id to arrow names in path order. Requires a valid coloring."""
-    rep = validate_coloring(q, c)
+    rep, paths = _color_paths(q, c)
     if not rep.ok:
         raise InputError(f"invalid coloring: {rep.violations}")
-    out: dict[str, list[str]] = {}
-    for s in c.colors():
-        arrows = [q.arrow(n) for n in c.class_of(s)]
-        heads = {a.head for a in arrows}
-        start = next(a for a in arrows if a.tail not in heads)
-        by_tail = {a.tail: a for a in arrows}
-        chain = [start]
-        while chain[-1].head in by_tail:
-            chain.append(by_tail[chain[-1].head])
-        out[s] = [a.name for a in chain]
-    return out
+    return paths
 
 
 def monochromatic_ideal(q: Quiver, c: Coloring) -> RelationSet:
@@ -287,14 +278,6 @@ def color_incidence(q: Quiver, c: Coloring) -> dict[tuple[str, str], Incidence]:
     }
 
 
-def vertex_colors(q: Quiver, c: Coloring) -> dict[str, list[str]]:
-    """Vertex to the sorted colors touching it."""
-    out: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for (x, s), _ in color_incidence(q, c).items():
-        out[x].append(s)
-    return {v: sorted(set(ss)) for v, ss in out.items()}
-
-
 def _degree_checks(q: Quiver, rep: ValidationReport) -> None:
     for v in q.vertices:
         if len(q.outgoing(v)) > 2:
@@ -303,27 +286,38 @@ def _degree_checks(q: Quiver, rep: ValidationReport) -> None:
             rep.add("degree-in", f"vertex {v} has {len(q.incoming(v))} incoming arrows")
 
 
+def _unique_continuations(
+    q: Quiver, rels: RelationSet, rep: ValidationReport, in_ideal: bool
+) -> None:
+    """Flag arrows with two successors, or two predecessors, whose length-two
+    path lies inside the ideal (in_ideal) or outside it."""
+    if in_ideal:
+        tag = "rel"
+        succ_words, pred_words = "relation continuations", "relation predecessors"
+    else:
+        tag = "nonrel"
+        succ_words = "continuations outside the ideal"
+        pred_words = "predecessors outside the ideal"
+    for a in q.arrows:
+        succ = sorted(
+            b.name for b in q.outgoing(a.head) if ((b.name, a.name) in rels) == in_ideal
+        )
+        if len(succ) > 1:
+            rep.add(f"succ-{tag}", f"arrow {a.name} has two {succ_words}: {succ}")
+        pred = sorted(
+            b.name for b in q.incoming(a.tail) if ((a.name, b.name) in rels) == in_ideal
+        )
+        if len(pred) > 1:
+            rep.add(f"pred-{tag}", f"arrow {a.name} has two {pred_words}: {pred}")
+
+
 def is_string_algebra(q: Quiver, rels: RelationSet) -> ValidationReport:
     """Degree bounds plus the unique non-relation continuation conditions."""
     rep = validate_relations(q, rels)
     if not rep.ok:
         return rep
     _degree_checks(q, rep)
-    for a in q.arrows:
-        succ = [b for b in q.outgoing(a.head) if (b.name, a.name) not in rels]
-        if len(succ) > 1:
-            rep.add(
-                "succ-nonrel",
-                f"arrow {a.name} has two continuations outside the ideal:"
-                f" {sorted(b.name for b in succ)}",
-            )
-        pred = [b for b in q.incoming(a.tail) if (a.name, b.name) not in rels]
-        if len(pred) > 1:
-            rep.add(
-                "pred-nonrel",
-                f"arrow {a.name} has two predecessors outside the ideal:"
-                f" {sorted(b.name for b in pred)}",
-            )
+    _unique_continuations(q, rels, rep, in_ideal=False)
     return rep
 
 
@@ -332,21 +326,7 @@ def is_gentle(q: Quiver, rels: RelationSet) -> ValidationReport:
     rep = is_string_algebra(q, rels)
     if rep.tags() & {"relation-shape"}:
         return rep
-    for a in q.arrows:
-        succ = [b for b in q.outgoing(a.head) if (b.name, a.name) in rels]
-        if len(succ) > 1:
-            rep.add(
-                "succ-rel",
-                f"arrow {a.name} has two relation continuations:"
-                f" {sorted(b.name for b in succ)}",
-            )
-        pred = [b for b in q.incoming(a.tail) if (a.name, b.name) in rels]
-        if len(pred) > 1:
-            rep.add(
-                "pred-rel",
-                f"arrow {a.name} has two relation predecessors:"
-                f" {sorted(b.name for b in pred)}",
-            )
+    _unique_continuations(q, rels, rep, in_ideal=True)
     return rep
 
 

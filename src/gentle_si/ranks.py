@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .quivers import Coloring, Quiver, color_classes, color_incidence
+from .quivers import Coloring, Incidence, Quiver, color_classes, color_incidence
 
 
 def check_beta(q: Quiver, beta: dict[str, int]) -> None:
@@ -37,8 +37,11 @@ def check_beta(q: Quiver, beta: dict[str, int]) -> None:
 
 def _slack(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
-) -> dict[tuple[str, str], int]:
-    """beta(x) - r(in) - r(out) at each (vertex x, color) the color touches."""
+) -> tuple[dict[tuple[str, str], Incidence], dict[tuple[str, str], int]]:
+    """The color incidence, and beta(x) - r(in) - r(out) at each of its pairs.
+
+    Checks beta, then r, then the coloring.
+    """
     check_beta(q, beta)
     for a in q.arrow_names():
         if a not in r:
@@ -47,17 +50,12 @@ def _slack(
             raise InputError(
                 f"rank at {a} must be a nonnegative integer, got {r[a]!r}"
             )
-    return {
-        (x, s): beta[x] - r.get(inc.in_arrow, 0) - r.get(inc.out_arrow, 0)
-        for (x, s), inc in color_incidence(q, c).items()
+    inc = color_incidence(q, c)
+    slack = {
+        (x, s): beta[x] - r.get(pair.in_arrow, 0) - r.get(pair.out_arrow, 0)
+        for (x, s), pair in inc.items()
     }
-
-
-def rank_violations(
-    q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
-) -> list[tuple[str, str]]:
-    """The (vertex, color) pairs where r(in) + r(out) exceeds beta."""
-    return [key for key, slack in _slack(q, c, beta, r).items() if slack < 0]
+    return inc, slack
 
 
 def is_maximal_rank(
@@ -71,7 +69,7 @@ def is_maximal_rank(
     or at its head. Quivers have no loops, so raising one rank adds one to
     each of those two sums and to no other.
     """
-    slack = _slack(q, c, beta, r)
+    _, slack = _slack(q, c, beta, r)
     if min(slack.values(), default=0) < 0:
         raise InputError("not an admissible rank sequence")
     return all(

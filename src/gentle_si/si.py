@@ -50,7 +50,6 @@ class PegContext:
     r: dict[str, int]
     graph: PegGraph
     extract: MatchingSystemExtract
-    inc: dict[tuple[str, str], Incidence]
     arrow_comps: dict[str, tuple[int, ...]]
 
 
@@ -58,7 +57,7 @@ def peg_context(
     q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int]
 ) -> PegContext:
     graph = build_peg(q, c, beta, r)
-    extract = extract_matching_system(graph, q, c, beta, r)
+    extract = extract_matching_system(graph, q, beta, r)
     comp_of = {
         rt: idx for idx, cp in enumerate(extract.components) for rt in cp.roots
     }
@@ -68,9 +67,7 @@ def peg_context(
         )
         for a in q.arrows
     }
-    return PegContext(
-        q, c, beta, r, graph, extract, color_incidence(q, c), arrow_comps
-    )
+    return PegContext(q, c, beta, r, graph, extract, arrow_comps)
 
 
 def _check_uy(
@@ -216,27 +213,34 @@ def si_membership(
     """
     _check_partitions(q, lam)
     check_beta(q, beta)
-    return _membership(lam, q, beta, color_incidence(q, c))
+    return _membership(lam, q, beta, _incidence_at(color_incidence(q, c)))
+
+
+def _incidence_at(
+    inc: dict[tuple[str, str], Incidence]
+) -> dict[str, list[Incidence]]:
+    """Vertex to the incidence pairs of the colors touching it, by color."""
+    at: dict[str, list[Incidence]] = {}
+    for (x, _), pair in inc.items():
+        at.setdefault(x, []).append(pair)
+    return at
 
 
 def _membership(
     lam: PartitionMap,
     q: Quiver,
     beta: dict[str, int],
-    inc: dict[tuple[str, str], Incidence],
+    at: dict[str, list[Incidence]],
 ) -> MembershipResult:
-    """si_membership on checked inputs, with the color incidence resolved."""
-    touching: dict[str, list[str]] = {}
-    for x, s in inc:
-        touching.setdefault(x, []).append(s)
+    """si_membership on checked inputs, with the incidence grouped by vertex."""
     sigma: dict[str, int] = {}
     for x in sorted(q.vertices):
-        colors = touching.get(x, [])
+        pairs = at.get(x, [])
         bx = beta[x]
-        if not colors or bx == 0:
+        if not pairs or bx == 0:
             sigma[x] = 0
             continue
-        vecs = [_incidence_vector(lam, inc[(x, s)], bx, x) for s in colors]
+        vecs = [_incidence_vector(lam, pair, bx, x) for pair in pairs]
         if len(vecs) == 1:
             v = vecs[0]
             sig = v[0]
@@ -268,7 +272,7 @@ def root_jumps(ctx: PegContext, lam: PartitionMap) -> dict[Root, int]:
         key = (rt.vertex, rt.color)
         if key not in cache:
             cache[key] = _incidence_vector(
-                lam, ctx.inc[key], ctx.beta[rt.vertex], rt.vertex
+                lam, ctx.graph.inc[key], ctx.beta[rt.vertex], rt.vertex
             )
         v = cache[key]
         out[rt] = v[rt.index - 1] - v[rt.index]
@@ -401,6 +405,7 @@ class SiPresentation:
 
 def _translate(
     ctx: PegContext,
+    at: dict[str, list[Incidence]],
     name: str,
     kind: str,
     u: tuple[int, ...],
@@ -410,7 +415,7 @@ def _translate(
     vals = _values_by_component(ctx, u, y)
     lam = _partitions(ctx, u, vals)
     deg = generator_degree(lam)
-    mem = _membership(lam, ctx.q, ctx.beta, ctx.inc)
+    mem = _membership(lam, ctx.q, ctx.beta, at)
     require(
         mem.ok, f"generator {name} fails the weight equations at {mem.witness}"
     )
@@ -445,13 +450,16 @@ def si_presentation(
     band_vars = tuple(f"y{k + 1}" for k in range(nb))
     zero_y = (0,) * nb
     zero_u = (0,) * ctx.extract.system.num_vars
+    at = _incidence_at(ctx.graph.inc)
 
     records = []
     for g in pres.generators:
-        records.append(_translate(ctx, g.name, g.kind, g.vector, zero_y, gen_bound))
+        records.append(
+            _translate(ctx, at, g.name, g.kind, g.vector, zero_y, gen_bound)
+        )
     for k, name in enumerate(band_vars):
         y = tuple(1 if i == k else 0 for i in range(nb))
-        records.append(_translate(ctx, name, "band_var", zero_u, y, gen_bound))
+        records.append(_translate(ctx, at, name, "band_var", zero_u, y, gen_bound))
 
     by_name = {rec.name: rec.degree for rec in records}
     for rel in pres.relations:

@@ -18,7 +18,7 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
-from gentle_si import cli, peg, quivers, si
+from gentle_si import cli, peg, quivers, ranks, si
 from gentle_si.cli import CliConfig, main, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.ranks import is_maximal_rank
@@ -344,23 +344,45 @@ def test_presentation_runs_each_graph_stage_once(monkeypatch):
     assert calls == dict.fromkeys(calls, 1)
 
 
+# runs of validate_coloring, of the coloring's path walk, of color_incidence
+# and of check_beta for one command on running.model: the CLI checks the
+# coloring once, the rank component's entry checks it with beta and r once,
+# and presentation also asks whether r is maximal
+CHECK_COUNTS = {
+    "presentation": (3, 3, 2, 2),
+    "peg": (2, 2, 1, 1),
+    "generators": (2, 2, 1, 1),
+    "relations": (2, 2, 1, 1),
+    "verify": (2, 2, 1, 1),
+}
+
+
 def test_presentation_validates_the_coloring_independent_of_size(monkeypatch):
-    """Coloring checks do not repeat per generator: running x1 and x10 agree."""
-    fn = quivers.validate_coloring
-    runs = []
+    """Model checks run a fixed number of times per command, not per
+    generator or per root: running x1 and x10 give the same counts."""
+    checks = (
+        (quivers, "validate_coloring"),
+        (quivers, "_color_paths"),
+        (quivers, "color_incidence"),
+        (ranks, "check_beta"),
+    )
+    runs = {}
+    for home, name in checks:
+        fn = getattr(home, name)
+        runs[name] = 0
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return fn(*args, **kwargs)
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            runs[_name] += 1
+            return _fn(*args, **kwargs)
 
-    for mod in (quivers, cli):
-        monkeypatch.setattr(mod, "validate_coloring", counted)
-    counts = []
-    for k in (1, 10):
-        runs.clear()
-        run_command("presentation", parse_model(scaled_running(k)), CliConfig(json=True))
-        counts.append(len(runs))
-    assert counts[0] == counts[1]
+        for mod in (quivers, ranks, peg, si, cli):
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    for command, want in CHECK_COUNTS.items():
+        for k in (1, 10):
+            runs.update(dict.fromkeys(runs, 0))
+            run_command(command, parse_model(scaled_running(k)), CliConfig(json=True))
+            assert tuple(runs.values()) == want, (command, k, runs)
 
 
 @pytest.mark.parametrize(
@@ -529,6 +551,27 @@ def test_explicit_rank_not_flagged(capsys):
     payload = json.loads(out)
     assert payload["rank_derived"] is False
     assert payload["degree_bounds"] == {"generators": 42, "relations": 168}
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("rank a1 2", "rank a1 5", "not a rank sequence, violations at"),
+        ("a2 2 3 color a", "a2 2 3 color b", "color b has two arrows out of 2"),
+    ],
+)
+def test_degrees_rejects_what_presentation_rejects(
+    capsys, tmp_path, old, new, message
+):
+    """rank a1 5 overflows beta(1) = 2; a2 colored b gives b two arrows out of 2."""
+    text = (GOLDENS / "running.model").read_text()
+    assert old in text
+    path = tmp_path / "bad.model"
+    path.write_text(text.replace(old, new))
+    results = [run_cli(capsys, cmd, path) for cmd in ("presentation", "degrees")]
+    assert [(code, out) for code, out, _ in results] == [(1, ""), (1, "")]
+    assert results[0][2] == results[1][2]
+    assert message in results[1][2]
 
 
 def test_verify_quiver_route_carries_rank(capsys):

@@ -104,7 +104,7 @@ def test_running_walks_alternate_edge_kinds():
 
 def test_running_endpoint_classes():
     g, q, c, beta, r = running_peg()
-    eps = {ep.root.key(): (ep.cls, ep.phi) for ep in classify_endpoints(g, q, c, beta, r)}
+    eps = {ep.root.key(): (ep.cls, ep.phi) for ep in classify_endpoints(g, beta, r)}
     assert eps == {
         ("2", "a", 2): ("Ib", ("a2",)),
         ("2", "a", 3): ("Id", ()),
@@ -127,7 +127,7 @@ def test_theta_running():
 
 def test_running_extraction_matches_frozen_system():
     g, q, c, beta, r = running_peg()
-    ext = extract_matching_system(g, q, c, beta, r)
+    ext = extract_matching_system(g, q, beta, r)
     assert ext.system == running_system()
     assert ext.free_arrows == ()
     assert ext.forced_index == {}
@@ -139,7 +139,7 @@ def test_running_extraction_matches_frozen_system():
 
 def test_phi_agrees_across_strings_on_members():
     g, q, c, beta, r = running_peg()
-    ext = extract_matching_system(g, q, c, beta, r)
+    ext = extract_matching_system(g, q, beta, r)
     pts = oracle.enumerate_points(ext.system, cap=2)
     idx = {a: j for j, a in enumerate(ext.system.var_names)}
     for u in pts:
@@ -154,7 +154,7 @@ def test_trivial_string_frees_its_arrow():
     g = build_peg(q, c, {"1": 2, "2": 2}, {"a": 2})
     comps = components(g)
     assert [cp.kind for cp in comps] == ["string"]
-    ext = extract_matching_system(g, q, c, {"1": 2, "2": 2}, {"a": 2})
+    ext = extract_matching_system(g, q, {"1": 2, "2": 2}, {"a": 2})
     assert ext.system.m == 0
     assert ext.free_arrows == ("a",)
 
@@ -167,7 +167,7 @@ def test_isolated_boundary_root_forces_zero():
     g = build_peg(q, c, beta, {"a": 2})
     kinds = {cp.kind for cp in components(g)}
     assert kinds == {"string", "isolated"}
-    ext = extract_matching_system(g, q, c, beta, {"a": 2})
+    ext = extract_matching_system(g, q, beta, {"a": 2})
     assert ext.system.equations() == [(("a",), ())]
     assert ext.free_arrows == ()
     assert list(ext.forced_index) == [0]
@@ -182,7 +182,7 @@ def test_lonely_interior_vertex_forces_both_arrows():
     g = build_peg(q, c, beta2, r)
     comps = components(g)
     assert [cp.kind for cp in comps] == ["isolated"]
-    ext = extract_matching_system(g, q, c, beta2, r)
+    ext = extract_matching_system(g, q, beta2, r)
     assert ext.forced_index[0].cls == "IIa"
     assert ext.system.equations() == [(("a1", "a2"), ())]
     assert oracle.enumerate_points(ext.system, cap=3) == [(0, 0)]
@@ -193,7 +193,7 @@ def test_rank_zero_arrow_carries_no_variable():
     r = {"a1": 1, "a2": 0}
     g = build_peg(q, c, beta, r)
     assert g.roots == ()
-    ext = extract_matching_system(g, q, c, beta, r)
+    ext = extract_matching_system(g, q, beta, r)
     assert ext.system.var_names == ("a1",)
     assert ext.free_arrows == ("a1",)
 
@@ -234,7 +234,7 @@ def test_random_pipelines_extract_valid_systems(seed):
         assert g.degree(rt) <= 2
     comps = components(g)
     assert sorted(rt for cp in comps for rt in cp.roots) == sorted(g.roots)
-    ext = extract_matching_system(g, q, c, beta, r)
+    ext = extract_matching_system(g, q, beta, r)
     for j, (e1, e2) in ext.string_index.items():
         assert theta(g, e1.root) == e2.root
         assert theta(g, e2.root) == e1.root

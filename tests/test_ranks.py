@@ -11,15 +11,21 @@ from fixtures import path_example, running_example
 
 from gentle_si import oracle, quivers
 from gentle_si.errors import InputError
+from gentle_si.peg import build_peg
 from gentle_si.quivers import Arrow, Coloring, Quiver
 from gentle_si.ranks import (
     _color_maximal,
+    _slack,
     check_beta,
     is_maximal_rank,
     maximal_rank_sequences,
-    rank_violations,
 )
 from gentle_si.si import si_presentation
+
+
+def rank_violations(q, c, beta, r):
+    """The (vertex, color) pairs where r(in) + r(out) exceeds beta."""
+    return [key for key, room in _slack(q, c, beta, r)[1].items() if room < 0]
 
 
 def test_running_full_rank_is_admissible():
@@ -31,6 +37,8 @@ def test_running_overflow_at_vertex_four():
     q, c, beta, r = running_example()
     bad = dict(r, b2=3)
     assert rank_violations(q, c, beta, bad) == [("4", "b")]
+    with pytest.raises(InputError, match=r"violations at \[\('4', 'b'\)\]"):
+        build_peg(q, c, beta, bad)
 
 
 def test_zero_ranks_always_admissible():

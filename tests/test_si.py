@@ -16,8 +16,9 @@ from fixtures import (
 import gentle_si.si as si_module
 from gentle_si import oracle
 from gentle_si.errors import InputError, InvariantError
+from gentle_si.peg import build_peg
 from gentle_si.quivers import Arrow, Coloring, Quiver
-from gentle_si.ranks import maximal_rank_sequences
+from gentle_si.ranks import is_maximal_rank, maximal_rank_sequences
 from gentle_si.si import (
     component_labels,
     component_values,
@@ -418,3 +419,43 @@ def test_presentation_as_dict_is_json_ready():
             "grade",
         }
         assert len(entry["grade"]) == len(data["grading_components"])
+
+
+# the public entries that take a colored quiver with dimensions, and a rank
+# sequence where they read one; each checks its input once, up front
+QUIVER_ENTRIES = {
+    "build_peg": build_peg,
+    "peg_context": peg_context,
+    "si_presentation": si_presentation,
+    "is_maximal_rank": is_maximal_rank,
+    "maximal_rank_sequences": lambda q, c, beta, r: maximal_rank_sequences(q, c, beta),
+}
+
+BAD_INPUTS = {
+    "coloring": ("c", {"a2": "b"}, "invalid coloring: .*two arrows out of 2"),
+    "missing beta": ("beta", {"5": None}, "dimension vector missing vertex 5"),
+    "rank above beta": ("r", {"a1": 5}, "rank sequence"),
+    "negative rank": ("r", {"a1": -1}, "rank at a1 must be a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        (entry, fault)
+        for entry in QUIVER_ENTRIES
+        for fault in BAD_INPUTS
+        if entry != "maximal_rank_sequences" or BAD_INPUTS[fault][0] != "r"
+    ],
+)
+def test_quiver_entries_reject_bad_input(entry, fault):
+    q, c, beta, r = running_example()
+    args = {"c": dict(c.color_of), "beta": dict(beta), "r": dict(r)}
+    which, changes, message = BAD_INPUTS[fault]
+    for key, value in changes.items():
+        if value is None:
+            del args[which][key]
+        else:
+            args[which][key] = value
+    with pytest.raises(InputError, match=message):
+        QUIVER_ENTRIES[entry](q, Coloring(args["c"]), args["beta"], args["r"])
