@@ -28,6 +28,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantError, ValidationReport, require
@@ -527,8 +528,70 @@ def run_command(command: str, model: ModelFile, cfg: CliConfig) -> str:
     handler, _ = _COMMANDS[command]
     payload = handler(model)
     if cfg.json:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _render_json(payload) + "\n"
     return _render_text(command, payload)
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+
+# the text of the small ints that fill partitions, y and grade lists
+_INT_TEXT = {n: str(n) for n in range(1024)}
+_INT_ONLY = {int}
+
+
+def _render_json(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), for report values.
+
+    The stdlib takes its pure-Python encoder for indented output. Here each
+    list of plain ints is joined in one call, and strings are escaped by
+    json's C routine. Recursion runs through a module-level function, so no
+    reference cycle is left for the garbage collector.
+    """
+    out: list[str] = []
+    _json_chunks(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_chunks(obj, nl: str, out: list[str]) -> None:
+    """Append the text of obj, whose lines start with nl, to out."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            require(isinstance(key, str), f"report key {key!r} is not a string")
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, obj)) == _INT_ONLY:
+            try:
+                body = ("," + inner).join(map(_INT_TEXT.__getitem__, obj))
+            except KeyError:
+                body = ("," + inner).join(map(int.__repr__, obj))
+            out.append("[" + inner + body + nl + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +759,7 @@ def _read_model_text(path: str) -> str:
 def _emit_error(json_mode: bool, kind: str, message: str) -> None:
     if json_mode:
         obj = {"error": {"kind": kind, "message": message}}
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_render_json(obj) + "\n")
     else:
         sys.stderr.write(f"error: {message}\n")
 

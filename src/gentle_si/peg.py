@@ -43,12 +43,14 @@ class Root:
 
 @dataclass
 class PegGraph:
-    """The root graph, with the color incidence its roots are read from."""
+    """The root graph, with the color incidence its roots are read from and
+    the slack beta(x) - r(in) - r(out) at each incidence pair."""
 
     roots: tuple[Root, ...]
     vertex_edges: tuple[tuple[Root, Root], ...]
     colored_edges: tuple[tuple[Root, Root, str], ...]
     inc: dict[tuple[str, str], Incidence] = field(repr=False)
+    slack: dict[tuple[str, str], int] = field(repr=False)
     _adj: dict[Root, list[tuple[Root, str, Optional[str]]]] = field(repr=False)
 
     def neighbors(self, root: Root) -> list[tuple[Root, str, Optional[str]]]:
@@ -117,6 +119,7 @@ def build_peg(
         vertex_edges=tuple(sorted(vertex_edges)),
         colored_edges=tuple(sorted(colored_edges)),
         inc=inc,
+        slack=slack,
         _adj=adj,
     )
 

@@ -72,6 +72,13 @@ def is_maximal_rank(
     _, slack = _slack(q, c, beta, r)
     if min(slack.values(), default=0) < 0:
         raise InputError("not an admissible rank sequence")
+    return _all_tight(q, c, slack)
+
+
+def _all_tight(
+    q: Quiver, c: Coloring, slack: dict[tuple[str, str], int]
+) -> bool:
+    """Whether every arrow has no slack left at its tail or at its head."""
     return all(
         slack[a.tail, c.color(a.name)] == 0 or slack[a.head, c.color(a.name)] == 0
         for a in q.arrows

@@ -26,7 +26,7 @@ from .peg import (
     extract_matching_system,
 )
 from .quivers import Coloring, Incidence, Quiver, color_incidence
-from .ranks import check_beta, is_maximal_rank
+from .ranks import _all_tight, check_beta
 
 PartitionMap = dict[str, tuple[int, ...]]
 
@@ -45,7 +45,6 @@ class PegContext:
     """
 
     q: Quiver
-    c: Coloring
     beta: dict[str, int]
     r: dict[str, int]
     graph: PegGraph
@@ -67,7 +66,7 @@ def peg_context(
         )
         for a in q.arrows
     }
-    return PegContext(q, c, beta, r, graph, extract, arrow_comps)
+    return PegContext(q, beta, r, graph, extract, arrow_comps)
 
 
 def _check_uy(
@@ -438,7 +437,7 @@ def si_presentation(
     an irreducible component.
     """
     ctx = peg_context(q, c, beta, r)
-    maximal = is_maximal_rank(q, c, beta, r)
+    maximal = _all_tight(q, c, ctx.graph.slack)
     if not maximal:
         warnings.warn(
             "rank sequence is not maximal for this dimension vector",

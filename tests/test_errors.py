@@ -70,6 +70,8 @@ UNCALLED_ON_PURPOSE = {
     "si_membership": "the paper's weight equations on partition maps; tests check it",
     "congruent": "oracle reference for relation congruence, read by tests",
     "maximal_rank_sequences_bruteforce": "oracle reference for maximal ranks",
+    "is_maximal_rank": "the paper's maximality test for a bare rank sequence;"
+    " tests check it against enumeration",
     "minimal_generators_bruteforce": "oracle reference generators the tests compare",
     "toric_relations_bruteforce": "oracle reference relations the tests compare",
     "decompositions": "oracle reference decompositions the tests compare",
