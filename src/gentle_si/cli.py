@@ -27,6 +27,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -764,23 +765,30 @@ def _emit_error(json_mode: bool, kind: str, message: str) -> None:
         sys.stderr.write(f"error: {message}\n")
 
 
+def _show_warning(message, *_args, **_kwargs) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     json_mode = "--json" in args_list
-    try:
-        args = build_parser().parse_args(args_list)
-        cfg = CliConfig(
-            json=args.json,
-            dot=getattr(args, "dot", False),
-        )
-        model = parse_model(_read_model_text(args.model))
-        out = run_command(args.command, model, cfg)
-    except InputError as exc:
-        _emit_error(json_mode, "input", str(exc))
-        return 1
-    except InvariantError as exc:
-        _emit_error(json_mode, "invariant", str(exc))
-        return 2
+    with warnings.catch_warnings():
+        # one line per warning, without the path and source line of its caller
+        warnings.showwarning = _show_warning
+        try:
+            args = build_parser().parse_args(args_list)
+            cfg = CliConfig(
+                json=args.json,
+                dot=getattr(args, "dot", False),
+            )
+            model = parse_model(_read_model_text(args.model))
+            out = run_command(args.command, model, cfg)
+        except InputError as exc:
+            _emit_error(json_mode, "input", str(exc))
+            return 1
+        except InvariantError as exc:
+            _emit_error(json_mode, "invariant", str(exc))
+            return 2
     sys.stdout.write(out)
     return 0
 

@@ -10,8 +10,8 @@ written as 2m rows: row k and row m+k are the two sides of equation k
 
 The solution set U collects the nonnegative integer vectors making every
 equation balance. Its generators and relations are computed from walks in
-the matching graph further down in this module; the oracle module gets the
-same answers by brute force.
+the matching graph further down in this module; the oracle module
+recomputes them from the equations alone.
 """
 
 from __future__ import annotations

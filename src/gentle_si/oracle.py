@@ -1,66 +1,27 @@
-"""Brute-force ground truth, kept independent of the walk machinery.
+"""The referee: recomputes a presentation from the equations alone.
 
-Everything here recomputes answers from first principles, reading only the
-equations: generators by the Contejean-Devie completion of the unit
-vectors (and, as a test reference, by subtracting points inside a box),
-relations by joining the decomposition classes of every fiber in a bounded
-region, semi-invariance by summing mirrored entries. The walk-based engine
-has to agree with this module; the test suite wires the two against each
-other on fixed and random inputs.
+Nothing here reads the walk machinery. Generators come from the
+Contejean-Devie completion of the unit vectors, so the work follows the
+size of the basis. The relations an engine reports are right when each
+balances and every fiber of the bounded region, found in one depth-first
+pass, is joined into one class by their moves. Semi-invariance is checked by
+summing mirrored entries. `verify` runs these routines; slower references
+that recompute the same answers by box scans and searches live with the
+tests, in tests/reference.py.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional, Sequence
 
 from .errors import InputError, require
 from .matching import MatchingSystem, system_from_rows
-from .quivers import Arrow, Coloring, Quiver, color_incidence
+from .quivers import Coloring, Quiver, color_incidence
 
 
 # verify checks fibers up to at least this row count, whatever the engine reports
 RELATION_DEGREE_FLOOR = 4
-
-
-def enumerate_points(sys_: MatchingSystem, cap: int) -> list[tuple[int, ...]]:
-    """All solutions with coordinates at most cap, in lexicographic order.
-
-    Walks the box depth first keeping running side counts, so each step
-    touches only the rows of one variable.
-    """
-    if cap < 0:
-        raise InputError("cap must be nonnegative")
-    l = sys_.num_vars
-    m = sys_.m
-    cols = [sys_.column_rows(j) for j in range(l)]
-    prof = [0] * (2 * m)
-    u = [0] * l
-    out: list[tuple[int, ...]] = []
-
-    def rec(j: int) -> None:
-        if j == l:
-            for k in range(m):
-                if prof[k] != prof[m + k]:
-                    return
-            out.append(tuple(u))
-            return
-        for val in range(cap + 1):
-            u[j] = val
-            for r in cols[j]:
-                prof[r] += val
-            rec(j + 1)
-            for r in cols[j]:
-                prof[r] -= val
-        u[j] = 0
-
-    rec(0)
-    # rec reaches itself through its closure; dropping the name breaks that
-    # cycle, so out is freed with its last user instead of at the next full
-    # garbage collection
-    del rec
-    return out
 
 
 def _counting_bound_checked(
@@ -77,41 +38,6 @@ def _counting_bound_checked(
             f"irreducible solution {g} has an equation side above 2",
         )
     return sorted(gens)
-
-
-def minimal_generators_bruteforce(
-    sys_: MatchingSystem, cap: int = 3
-) -> list[tuple[int, ...]]:
-    """Points that are not sums of two nonzero solutions: the box-scan
-    reference for hilbert_basis.
-
-    Inside the box this test is exact, because both parts of any split are
-    coordinatewise below the point being split. Requires cap >= 2 so that
-    splits of small points stay visible. The counting bound (no side of any
-    equation above 2, no coordinate above 2) is asserted on the result.
-    """
-    if cap < 2:
-        raise InputError("generator search needs cap >= 2")
-    pts = enumerate_points(sys_, cap)
-    zero = tuple([0] * sys_.num_vars)
-    ptset = set(pts)
-    nonzero = [p for p in pts if p != zero]
-    nonzero.sort(key=lambda p: (sum(p), p))
-    gens = []
-    for u in nonzero:
-        total = sum(u)
-        reducible = False
-        for v in nonzero:
-            if sum(v) >= total:
-                break
-            if all(vj <= uj for vj, uj in zip(v, u)):
-                rest = tuple(uj - vj for uj, vj in zip(u, v))
-                if rest != zero and rest in ptset:
-                    reducible = True
-                    break
-        if not reducible:
-            gens.append(u)
-    return _counting_bound_checked(sys_, gens)
 
 
 def hilbert_basis(sys_: MatchingSystem) -> list[tuple[int, ...]]:
@@ -187,25 +113,6 @@ def _madd(m: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(m + s))
 
 
-def _cancel_common(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rest_b = list(b)
-    lhs = []
-    for i in a:
-        if i in rest_b:
-            rest_b.remove(i)
-        else:
-            lhs.append(i)
-    return tuple(lhs), tuple(rest_b)
-
-
-def _orient(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (a, b) if (len(a), a) <= (len(b), b) else (b, a)
-
-
 def _vector_sum(gens: Sequence[tuple[int, ...]], mset: tuple[int, ...]):
     width = len(gens[0]) if gens else 0
     acc = [0] * width
@@ -213,69 +120,6 @@ def _vector_sum(gens: Sequence[tuple[int, ...]], mset: tuple[int, ...]):
         for j, gj in enumerate(gens[i]):
             acc[j] += gj
     return tuple(acc)
-
-
-def decompositions(
-    gens: Sequence[tuple[int, ...]], v: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All multisets of generator indices with the given sum, sorted."""
-    gens = [tuple(g) for g in gens]
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(rem: tuple[int, ...], start: int) -> None:
-        if not any(rem):
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(gens)):
-            g = gens[i]
-            if all(rj >= gj for rj, gj in zip(rem, g)):
-                acc.append(i)
-                rec(tuple(rj - gj for rj, gj in zip(rem, g)), i)
-                acc.pop()
-
-    rec(tuple(v), 0)
-    # as in enumerate_points: rec reaches itself through its closure
-    del rec
-    return sorted(out)
-
-
-def congruent(
-    gens: Sequence[tuple[int, ...]],
-    relations: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-) -> bool:
-    """Whether the relation moves connect the two generator multisets.
-
-    A move replaces an embedded relation side by the opposite side; the sum
-    vector never changes, so the search space is the finite decomposition
-    fiber and plain breadth-first search decides the question exactly.
-    """
-    a = tuple(sorted(a))
-    b = tuple(sorted(b))
-    if a == b:
-        return True
-    if _vector_sum(gens, a) != _vector_sum(gens, b):
-        return False
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for lhs, rhs in relations:
-                for src, dst in ((lhs, rhs), (rhs, lhs)):
-                    rest = _msub(m, src)
-                    if rest is None:
-                        continue
-                    m2 = _madd(rest, dst)
-                    if m2 == b:
-                        return True
-                    if m2 not in seen:
-                        seen.add(m2)
-                        nxt.append(m2)
-        frontier = nxt
-    return False
 
 
 def _classes(
@@ -357,39 +201,12 @@ def fibers(
                 prof[r] -= c
 
     rec(0)
-    # as in enumerate_points: rec reaches itself through its closure
+    # rec reaches itself through its closure; dropping the name breaks that
+    # cycle, so by_sum is freed with its last user instead of at the next
+    # full garbage collection
     del rec
     out = [(v, sorted(decs)) for v, decs in by_sum.items() if len(decs) > 1]
     return sorted(out, key=lambda f: (sum(f[0]), f[0]))
-
-
-def toric_relations_bruteforce(
-    gens: Sequence[tuple[int, ...]],
-    degree_cap: int,
-    system: MatchingSystem,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A minimal list of binomial relations among the generators.
-
-    Sums are processed small to large; whenever a decomposition fiber is
-    still disconnected under the relations found so far, the two smallest
-    multisets in different classes are joined (common generators cancelled,
-    shorter side first). The result generates the congruence of equal sums
-    restricted to the bounded region, and no listed relation follows from
-    the ones before it.
-    """
-    gens = [tuple(g) for g in gens]
-    relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _, decs in fibers(gens, degree_cap, system):
-        while True:
-            classes = _classes(decs, relations)
-            if len(classes) == 1:
-                break
-            a = classes[0][0]
-            b = classes[1][0]
-            lhs, rhs = _cancel_common(a, b)
-            require(bool(lhs) and bool(rhs), "trivial relation reached the fiber join")
-            relations.append(_orient(lhs, rhs))
-    return relations
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +233,7 @@ def _check_partition_map(q: Quiver, lam: dict[str, tuple[int, ...]]) -> None:
         raise InputError("partition map keys must be exactly the arrow names")
     for a, parts in lam.items():
         parts = tuple(parts)
-        if any(int(p) != p for p in parts):
+        if any(type(p) is not int for p in parts):
             raise InputError(f"partition for {a} has non-integer parts")
         if any(p < 0 for p in parts):
             raise InputError(f"partition for {a} has negative parts")
@@ -509,42 +326,6 @@ def random_matching_system(
             continue
 
 
-def random_colored_quiver(
-    rng: random.Random, max_vertices: int = 6, max_colors: int = 3
-) -> tuple[Quiver, Coloring]:
-    """A small acyclic quiver whose arrows are grouped into directed paths.
-
-    Each color class is built as an increasing run through a fixed vertex
-    order, which makes the coloring valid by construction. Parallel arrows
-    and shared vertices between colors are allowed.
-    """
-    n = rng.randint(1, max_vertices)
-    vertices = [str(i) for i in range(1, n + 1)]
-    arrows: list[Arrow] = []
-    color_of: dict[str, str] = {}
-    ncolors = rng.randint(0, max_colors)
-    color = 0
-    for _ in range(ncolors):
-        if n < 2:
-            break
-        # strictly increasing vertex run, so the class is automatically a path
-        start = rng.randrange(1, n)
-        run = [start]
-        cur = start
-        while cur < n and rng.random() < 0.6:
-            cur += rng.randint(1, min(2, n - cur))
-            run.append(cur)
-        if len(run) < 2:
-            run.append(start + 1)
-        color += 1
-        cid = str(color)
-        for a, b in zip(run, run[1:]):
-            name = f"a{len(arrows) + 1}"
-            arrows.append(Arrow(name, str(a), str(b)))
-            color_of[name] = cid
-    return Quiver(vertices, arrows), Coloring(color_of)
-
-
 def verify_presentation(sys_: MatchingSystem, pres) -> dict:
     """Check an engine presentation against brute force.
 
@@ -614,48 +395,3 @@ def verify_presentation(sys_: MatchingSystem, pres) -> dict:
     }
 
 
-def maximal_rank_sequences_bruteforce(
-    q: Quiver, c: Coloring, beta: dict[str, int]
-) -> list[dict[str, int]]:
-    """Maximal rank sequences by scanning the joint box over all arrows.
-
-    The admissibility test is rebuilt here from the quiver directly, and the
-    enumeration runs over all arrows at once instead of per color, so this
-    is a genuinely different route from the per-color product.
-    """
-    names = sorted(q.arrow_names())
-    bounds = {}
-    for n in names:
-        a = q.arrow(n)
-        bounds[n] = min(beta[a.tail], beta[a.head])
-
-    def admissible(r: dict[str, int]) -> bool:
-        for v in q.vertices:
-            for a_in in q.incoming(v):
-                for a_out in q.outgoing(v):
-                    if c.color(a_in.name) != c.color(a_out.name):
-                        continue
-                    if r[a_in.name] + r[a_out.name] > beta[v]:
-                        return False
-            for a_in in q.incoming(v):
-                if r[a_in.name] > beta[v]:
-                    return False
-            for a_out in q.outgoing(v):
-                if r[a_out.name] > beta[v]:
-                    return False
-        return True
-
-    points = []
-    for combo in itertools.product(*(range(bounds[n] + 1) for n in names)):
-        r = dict(zip(names, combo))
-        if admissible(r):
-            points.append(combo)
-    maximal = []
-    for p in points:
-        dominated = any(
-            p != other and all(x <= y for x, y in zip(p, other)) for other in points
-        )
-        if not dominated:
-            maximal.append(p)
-    maximal.sort()
-    return [dict(zip(names, pt)) for pt in maximal]

@@ -29,7 +29,8 @@ def check_beta(q: Quiver, beta: dict[str, int]) -> None:
     for v in q.vertices:
         if v not in beta:
             raise InputError(f"dimension vector missing vertex {v}")
-        if not (isinstance(beta[v], int) and beta[v] >= 0):
+        # type, not isinstance: bool is an int subclass and no count
+        if not (type(beta[v]) is int and beta[v] >= 0):
             raise InputError(
                 f"dimension at {v} must be a nonnegative integer, got {beta[v]!r}"
             )
@@ -46,7 +47,7 @@ def _slack(
     for a in q.arrow_names():
         if a not in r:
             raise InputError(f"rank sequence missing arrow {a}")
-        if not (isinstance(r[a], int) and r[a] >= 0):
+        if not (type(r[a]) is int and r[a] >= 0):
             raise InputError(
                 f"rank at {a} must be a nonnegative integer, got {r[a]!r}"
             )

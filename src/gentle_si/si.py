@@ -78,7 +78,8 @@ def _check_uy(
         raise InputError(
             f"vector length {len(u)} does not match {sys_.num_vars} variables"
         )
-    if any(not isinstance(v, int) or v < 0 for v in u):
+    # type, not isinstance: bool is an int subclass and no count
+    if any(type(v) is not int or v < 0 for v in u):
         raise InputError("u must have nonnegative integer entries")
     if not is_member(sys_, u):
         raise InputError("u does not solve the matching system")
@@ -86,7 +87,7 @@ def _check_uy(
     y = (0,) * nb if y is None else tuple(y)
     if len(y) != nb:
         raise InputError(f"y must have one entry per band, expected {nb}")
-    if any(not isinstance(v, int) or v < 0 for v in y):
+    if any(type(v) is not int or v < 0 for v in y):
         raise InputError("y must have nonnegative integer entries")
     return u, y
 
@@ -172,7 +173,7 @@ def _check_partitions(q: Quiver, lam: PartitionMap) -> None:
     if set(lam) != names:
         raise InputError("partition map keys must be exactly the arrow names")
     for a, parts in lam.items():
-        if any(not isinstance(p, int) for p in parts):
+        if any(type(p) is not int for p in parts):
             raise InputError(f"partition for {a} has non-integer parts")
         if any(p < 0 for p in parts):
             raise InputError(f"partition for {a} has negative parts")
@@ -323,7 +324,7 @@ def degree_bounds(q: Quiver, r: dict[str, int]) -> tuple[int, int]:
     for a in q.arrow_names():
         if a not in r:
             raise InputError(f"rank sequence missing arrow {a}")
-        if not isinstance(r[a], int) or r[a] < 0:
+        if type(r[a]) is not int or r[a] < 0:
             raise InputError(f"rank at {a} must be a nonnegative integer")
         total += math.comb(r[a] + 1, 2)
     return 2 * total, 8 * total

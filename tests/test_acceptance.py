@@ -11,12 +11,7 @@ import random
 import time
 
 from gentle_si.matching import build_graph, generators, is_member, presentation
-from gentle_si.oracle import (
-    maximal_rank_sequences_bruteforce,
-    random_colored_quiver,
-    random_matching_system,
-    verify_presentation,
-)
+from gentle_si.oracle import random_matching_system, verify_presentation
 from gentle_si.quivers import color_classes, gentle_cover, monochromatic_ideal
 from gentle_si.ranks import maximal_rank_sequences
 from gentle_si.si import (
@@ -33,6 +28,7 @@ from fixtures import (
     path_example,
     running_example,
 )
+from reference import maximal_rank_sequences_bruteforce, random_colored_quiver
 
 # expected support sets for the ten-variable closing example; all its
 # generators are 0/1 vectors, so supports determine them

@@ -631,6 +631,24 @@ def test_rank_derivation_flagged(capsys):
     assert payload["rank_maximal"] is True
 
 
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_non_maximal_rank_warns_in_one_line(capsys, tmp_path, json_flag):
+    """The warning is one stderr line; stdout is the report run_command gives."""
+    text = (GOLDENS / "running.model").read_text(encoding="utf-8")
+    text = text.replace("rank b2 2\n", "rank b2 1\n")
+    path = tmp_path / "nonmax.model"
+    path.write_text(text)
+    with pytest.warns(UserWarning, match="not maximal"):
+        want = run_command("presentation", parse_model(text), CliConfig(json=json_flag))
+    argv = ["presentation", path] + ["--json"] * json_flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == "warning: rank sequence is not maximal for this dimension vector\n"
+    assert out == want
+    if json_flag:
+        assert json.loads(out)["rank_maximal"] is False
+
+
 def test_explicit_rank_not_flagged(capsys):
     code, out, err = run_cli(
         capsys, "degrees", model_path("running.model"), "--json"

@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gentle_si"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gentle_si"
 ROOT = SRC.parent.parent
 
 
@@ -61,21 +62,15 @@ def test_every_parameter_is_read():
     assert not found, f"parameters never read: {found}"
 
 
-# public names kept for the paper or the tests alone, each with its reason
+# public names kept for the paper alone, each with its reason
 UNCALLED_ON_PURPOSE = {
     "theta": "the paper's endpoint involution on strings; tests check it is one",
     "roundtrip_uy": "the paper's inverse of lambda_from_uy; tests check the roundtrip",
     "component_values": "the paper's grading by components; tests check grades by it",
     "lambda_from_uy": "the paper's map from (u, y) to partition maps; tests check it",
     "si_membership": "the paper's weight equations on partition maps; tests check it",
-    "congruent": "oracle reference for relation congruence, read by tests",
-    "maximal_rank_sequences_bruteforce": "oracle reference for maximal ranks",
     "is_maximal_rank": "the paper's maximality test for a bare rank sequence;"
     " tests check it against enumeration",
-    "minimal_generators_bruteforce": "oracle reference generators the tests compare",
-    "toric_relations_bruteforce": "oracle reference relations the tests compare",
-    "decompositions": "oracle reference decompositions the tests compare",
-    "random_colored_quiver": "oracle sampler of random colored quivers for tests",
 }
 
 
@@ -125,3 +120,60 @@ def test_every_public_name_has_a_caller():
     assert not dead, f"public names with no caller outside tests: {dead}"
     stale = sorted(set(UNCALLED_ON_PURPOSE) - set(uncalled))
     assert not stale, f"allow-listed names that have a caller or are gone: {stale}"
+
+
+
+# the engine's modules, which neither the referee nor the test references import
+ENGINE = {"peg", "si", "ranks", "cli"}
+# the package modules they read only the data types and helpers of
+REFEREE_IMPORTS = {
+    "matching": {"MatchingSystem", "system_from_rows"},
+    "quivers": {"Arrow", "Coloring", "Quiver", "color_incidence"},
+}
+
+
+def _imports(path):
+    """(module, name, line) for each imported name in path's source.
+
+    Package modules come out bare, whether imported relatively or through
+    gentle_si; name is None when a whole module is imported.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.removeprefix("gentle_si."), None, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("gentle_si"):
+                module = module.removeprefix("gentle_si").lstrip(".")
+            for alias in node.names:
+                if module:
+                    yield module, alias.name, node.lineno
+                else:  # from gentle_si import peg, from . import peg
+                    yield alias.name, None, node.lineno
+
+
+def test_referee_stays_independent_of_the_engine():
+    """oracle.py and tests/reference.py never import the code they check.
+
+    Neither imports peg, si, ranks or cli, and from matching and quivers
+    only the names in REFEREE_IMPORTS. No file under src/ imports from the
+    tests.
+    """
+    found = []
+    for path in (SRC / "oracle.py", TESTS / "reference.py"):
+        for module, name, line in _imports(path):
+            if module in ENGINE or (
+                module in REFEREE_IMPORTS and name not in REFEREE_IMPORTS[module]
+            ):
+                found.append(f"{path.name}:{line}: {module} {name or ''}".rstrip())
+    assert not found, f"the referee imports the engine: {found}"
+    test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    into_tests = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for module, _, line in _imports(path)
+        if module.split(".")[0] in test_modules
+    ]
+    assert not into_tests, f"package modules import from the tests: {into_tests}"

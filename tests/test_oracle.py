@@ -23,6 +23,14 @@ from fixtures import (
     running_example,
     running_system,
 )
+from reference import (
+    congruent,
+    decompositions,
+    enumerate_points,
+    minimal_generators_bruteforce,
+    random_colored_quiver,
+    toric_relations_bruteforce,
+)
 from gentle_si import oracle
 from gentle_si.errors import InputError
 from gentle_si.matching import is_member, make_system, presentation, validate_system
@@ -31,7 +39,7 @@ from gentle_si.quivers import validate_coloring
 
 def test_enumerate_points_tiny():
     sys_ = make_system([(("x", "y"), ("z",))])
-    pts = oracle.enumerate_points(sys_, 2)
+    pts = enumerate_points(sys_, 2)
     assert (0, 0, 0) in pts
     assert (1, 0, 1) in pts
     assert (1, 1, 2) in pts
@@ -49,8 +57,8 @@ def test_enumerate_points_leaves_no_cyclic_garbage():
     # Y1 + Y2 = X1 + X2 + B1, so it has at least two decompositions
     target = tuple(map(sum, zip(CLOSING_GENERATORS["Y1"], CLOSING_GENERATORS["Y2"])))
     calls = [
-        lambda: oracle.enumerate_points(sys_, 2),
-        lambda: oracle.decompositions(gens, target),
+        lambda: enumerate_points(sys_, 2),
+        lambda: decompositions(gens, target),
     ]
     for call in calls:
         gc.collect()
@@ -64,7 +72,7 @@ def test_enumerate_points_leaves_no_cyclic_garbage():
 
 def test_enumerate_points_respects_cap():
     sys_ = make_system([(("x",), ("y",))])
-    pts = oracle.enumerate_points(sys_, 1)
+    pts = enumerate_points(sys_, 1)
     assert pts == [(0, 0), (1, 1)]
 
 
@@ -73,7 +81,7 @@ def test_hilbert_basis_equals_box_scan_on_random_systems(seed):
     rng = random.Random(seed)
     for _ in range(150):
         sys_ = oracle.random_matching_system(rng, max_m=4, max_l=8)
-        assert oracle.hilbert_basis(sys_) == oracle.minimal_generators_bruteforce(
+        assert oracle.hilbert_basis(sys_) == minimal_generators_bruteforce(
             sys_
         ), sys_.rows
 
@@ -100,12 +108,12 @@ def test_fibers_equal_box_recomputation(occupancy):
         gens = oracle.hilbert_basis(sys_)
         free = [j for j in range(sys_.num_vars) if not sys_.column_rows(j)]
         want = []
-        for u in oracle.enumerate_points(sys_, d):
+        for u in enumerate_points(sys_, d):
             if not any(u) or any(u[j] for j in free):
                 continue
             if max(sys_.fprofile(u)) > d:
                 continue
-            decs = oracle.decompositions(gens, u)
+            decs = decompositions(gens, u)
             if len(decs) > 1:
                 want.append((u, decs))
         want.sort(key=lambda f: (sum(f[0]), f[0]))
@@ -115,15 +123,15 @@ def test_fibers_equal_box_recomputation(occupancy):
 
 
 def test_closing_generators_frozen():
-    gens = oracle.minimal_generators_bruteforce(closing_system())
+    gens = minimal_generators_bruteforce(closing_system())
     assert set(gens) == set(CLOSING_GENERATORS.values())
     assert len(gens) == 8
 
 
 def test_closing_relations_frozen():
     sys_ = closing_system()
-    gens = oracle.minimal_generators_bruteforce(sys_)
-    rels = oracle.toric_relations_bruteforce(gens, 4, system=sys_)
+    gens = minimal_generators_bruteforce(sys_)
+    rels = toric_relations_bruteforce(gens, 4, system=sys_)
     assert len(rels) == 2
     label = {v: k for k, v in CLOSING_GENERATORS.items()}
     seen = []
@@ -140,7 +148,7 @@ def test_closing_relations_frozen():
 
 
 def test_eleven_var_generators_frozen():
-    gens = oracle.minimal_generators_bruteforce(eleven_var_system())
+    gens = minimal_generators_bruteforce(eleven_var_system())
     assert gens == ELEVEN_GENERATORS
     assert ELEVEN_W1 in gens
     assert ELEVEN_W2 in gens
@@ -155,9 +163,9 @@ def test_eleven_var_membership():
 
 def test_running_generators_and_relation_frozen():
     sys_ = running_system()
-    gens = oracle.minimal_generators_bruteforce(sys_)
+    gens = minimal_generators_bruteforce(sys_)
     assert gens == RUNNING_GENERATORS
-    rels = oracle.toric_relations_bruteforce(gens, 4, system=sys_)
+    rels = toric_relations_bruteforce(gens, 4, system=sys_)
     assert len(rels) == 1
     lhs, rhs = rels[0]
     sides = {frozenset(gens[i] for i in lhs), frozenset(gens[i] for i in rhs)}
@@ -166,19 +174,19 @@ def test_running_generators_and_relation_frozen():
 
 def test_generator_profiles_small():
     for sys_ in (closing_system(), running_system(), eleven_var_system()):
-        for g in oracle.minimal_generators_bruteforce(sys_):
+        for g in minimal_generators_bruteforce(sys_):
             assert max(g) <= 2
             assert max(sys_.fprofile(g), default=0) <= 2
 
 
 def test_congruent_on_closing():
     sys_ = closing_system()
-    gens = oracle.minimal_generators_bruteforce(sys_)
-    rels = oracle.toric_relations_bruteforce(gens, 4, system=sys_)
+    gens = minimal_generators_bruteforce(sys_)
+    rels = toric_relations_bruteforce(gens, 4, system=sys_)
     lhs, rhs = rels[0]
-    assert oracle.congruent(gens, rels, lhs, rhs)
+    assert congruent(gens, rels, lhs, rhs)
     # mismatched sums are never congruent
-    assert not oracle.congruent(gens, rels, (0,), (1,))
+    assert not congruent(gens, rels, (0,), (1,))
 
 
 def _reference_match(gens, orels, pres):
@@ -196,8 +204,8 @@ def _reference_match(gens, orels, pres):
         )
         for r in pres.relations
     ]
-    implied = all(oracle.congruent(gens, orels, a, b) for a, b in erels) and all(
-        oracle.congruent(gens, erels, a, b) for a, b in orels
+    implied = all(congruent(gens, orels, a, b) for a, b in erels) and all(
+        congruent(gens, erels, a, b) for a, b in orels
     )
     return True, implied
 
@@ -227,8 +235,8 @@ def test_verify_detects_broken_presentations():
             cases.append((sys_, pres))
     for sys_, pres in cases:
         # the box scan runs once per system, shared by its four mutants
-        gens = oracle.minimal_generators_bruteforce(sys_)
-        orels = oracle.toric_relations_bruteforce(
+        gens = minimal_generators_bruteforce(sys_)
+        orels = toric_relations_bruteforce(
             gens, max(4, pres.relation_cap), system=sys_
         )
         for case, mutant in _broken_presentations(pres):
@@ -268,6 +276,10 @@ def test_verify_si_equations_rejects_malformed():
     with pytest.raises(InputError):
         oracle.verify_si_equations({"a": (0, 1)}, q, c, beta)
     with pytest.raises(InputError):
+        oracle.verify_si_equations({"a": (True, True)}, q, c, beta)
+    with pytest.raises(InputError):
+        oracle.verify_si_equations({"a": (1.0, 1.0)}, q, c, beta)
+    with pytest.raises(InputError):
         oracle.verify_si_equations({"a": (1, 1)}, q, c, {"1": 2})
 
 
@@ -282,7 +294,7 @@ def test_random_system_axioms_hold():
 def test_random_quiver_colorings_valid():
     rng = random.Random(11)
     for _ in range(100):
-        q, c = oracle.random_colored_quiver(rng)
+        q, c = random_colored_quiver(rng)
         report = validate_coloring(q, c)
         assert report.ok, report.violations
 
@@ -293,9 +305,9 @@ def test_minimal_generators_generate_all_points(seed):
     rng = random.Random(seed)
     sys_ = oracle.random_matching_system(rng, max_m=3, max_l=6)
     cap = 2
-    gens = oracle.minimal_generators_bruteforce(sys_, cap=cap)
-    pts = oracle.enumerate_points(sys_, cap)
+    gens = minimal_generators_bruteforce(sys_, cap=cap)
+    pts = enumerate_points(sys_, cap)
     for u in pts:
         if sum(u) == 0:
             continue
-        assert oracle.decompositions(gens, u), (sys_.rows, u)
+        assert decompositions(gens, u), (sys_.rows, u)

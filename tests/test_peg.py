@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import determinant_example, path_example, running_example, running_system
+from reference import enumerate_points, random_colored_quiver
 
-from gentle_si import oracle
 from gentle_si.errors import InputError
 from gentle_si.peg import (
     Root,
@@ -140,7 +140,7 @@ def test_running_extraction_matches_frozen_system():
 def test_phi_agrees_across_strings_on_members():
     g, q, c, beta, r = running_peg()
     ext = extract_matching_system(g, q, beta, r)
-    pts = oracle.enumerate_points(ext.system, cap=2)
+    pts = enumerate_points(ext.system, cap=2)
     idx = {a: j for j, a in enumerate(ext.system.var_names)}
     for u in pts:
         for e1, e2 in ext.string_index.values():
@@ -172,7 +172,7 @@ def test_isolated_boundary_root_forces_zero():
     assert ext.free_arrows == ()
     assert list(ext.forced_index) == [0]
     assert ext.forced_index[0].cls == "IIc"
-    assert oracle.enumerate_points(ext.system, cap=3) == [(0,)]
+    assert enumerate_points(ext.system, cap=3) == [(0,)]
 
 
 def test_lonely_interior_vertex_forces_both_arrows():
@@ -185,7 +185,7 @@ def test_lonely_interior_vertex_forces_both_arrows():
     ext = extract_matching_system(g, q, beta2, r)
     assert ext.forced_index[0].cls == "IIa"
     assert ext.system.equations() == [(("a1", "a2"), ())]
-    assert oracle.enumerate_points(ext.system, cap=3) == [(0, 0)]
+    assert enumerate_points(ext.system, cap=3) == [(0, 0)]
 
 
 def test_rank_zero_arrow_carries_no_variable():
@@ -224,7 +224,7 @@ def test_export_dot_running_counts():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_pipelines_extract_valid_systems(seed):
     rng = random.Random(seed)
-    q, c = oracle.random_colored_quiver(rng, max_vertices=5)
+    q, c = random_colored_quiver(rng, max_vertices=5)
     assume(is_gentle(q, monochromatic_ideal(q, c)).ok)
     beta = {v: rng.randint(1, 4) for v in q.vertices}
     choices = maximal_rank_sequences(q, c, beta)

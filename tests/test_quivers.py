@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import cover_example, running_example
+from reference import random_colored_quiver
 
-from gentle_si import oracle
 from gentle_si.errors import InputError
 from gentle_si.quivers import (
     Arrow,
@@ -181,7 +181,7 @@ def test_coloring_from_non_gentle_raises():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_gentle_colorings_roundtrip(seed):
     rng = random.Random(seed)
-    q, c = oracle.random_colored_quiver(rng)
+    q, c = random_colored_quiver(rng)
     rep = validate_coloring(q, c)
     assert rep.ok, rep.violations
     ideal = monochromatic_ideal(q, c)
@@ -196,7 +196,7 @@ def test_random_gentle_colorings_roundtrip(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_cover_keeps_ideal_inside_input(seed):
     rng = random.Random(seed)
-    q, c = oracle.random_colored_quiver(rng)
+    q, c = random_colored_quiver(rng)
     rels = monochromatic_ideal(q, c)
     assume(is_string_algebra(q, rels).ok)
     res = gentle_cover(q, rels)

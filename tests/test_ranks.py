@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import path_example, running_example
+from reference import maximal_rank_sequences_bruteforce, random_colored_quiver
 
-from gentle_si import oracle, quivers
+from gentle_si import quivers
 from gentle_si.errors import InputError
 from gentle_si.peg import build_peg
 from gentle_si.quivers import Arrow, Coloring, Quiver
@@ -105,7 +106,7 @@ def test_running_maximal_ranks():
         for j, other in enumerate(tuples):
             if i != j:
                 assert not all(x <= y for x, y in zip(p, other))
-    assert got == oracle.maximal_rank_sequences_bruteforce(q, c, beta)
+    assert got == maximal_rank_sequences_bruteforce(q, c, beta)
 
 
 def test_maximal_ranks_no_arrows():
@@ -155,10 +156,10 @@ def test_color_maximal_matches_box_scan_on_long_paths():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_maximal_ranks_match_bruteforce(seed):
     rng = random.Random(seed)
-    q, c = oracle.random_colored_quiver(rng, max_vertices=5)
+    q, c = random_colored_quiver(rng, max_vertices=5)
     beta = {v: rng.randint(0, 3) for v in q.vertices}
     got = maximal_rank_sequences(q, c, beta)
-    assert got == oracle.maximal_rank_sequences_bruteforce(q, c, beta)
+    assert got == maximal_rank_sequences_bruteforce(q, c, beta)
     for cand in got:
         assert rank_violations(q, c, beta, cand) == []
 
@@ -192,7 +193,7 @@ def test_is_maximal_rank_validates_the_coloring_once(monkeypatch):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_is_maximal_rank_matches_enumeration(seed):
     rng = random.Random(seed)
-    q, c = oracle.random_colored_quiver(rng, max_vertices=4)
+    q, c = random_colored_quiver(rng, max_vertices=4)
     beta = {v: rng.randint(0, 3) for v in q.vertices}
     maximal = maximal_rank_sequences(q, c, beta)
     for cand in maximal:

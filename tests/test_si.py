@@ -12,12 +12,13 @@ from fixtures import (
     path_example,
     running_example,
 )
+from reference import random_tight_component
 
 import gentle_si.si as si_module
 from gentle_si import oracle
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.peg import build_peg
-from gentle_si.quivers import Arrow, Coloring, Quiver
+from gentle_si.quivers import Arrow, Coloring, Quiver, is_gentle, monochromatic_ideal
 from gentle_si.ranks import is_maximal_rank, maximal_rank_sequences
 from gentle_si.si import (
     component_labels,
@@ -95,6 +96,8 @@ def test_membership_validates_partitions():
         si_membership({"a": (1, -1)}, q, c, beta)
     with pytest.raises(InputError):
         si_membership({"a": (1, 1, 1)}, q, c, beta)
+    with pytest.raises(InputError, match="non-integer parts"):
+        si_membership({"a": (True, True)}, q, c, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,11 @@ def test_lambda_rejects_bad_input():
         lambda_from_uy(ctx, (-1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(InputError):
         lambda_from_uy(ctx, (0,) * 7, (1, 2))
+    with pytest.raises(InputError, match="u must have nonnegative integer"):
+        lambda_from_uy(ctx, (False,) * 7)
+    nb = len(ctx.extract.band_index)
+    with pytest.raises(InputError, match="y must have nonnegative integer"):
+        lambda_from_uy(ctx, (0,) * 7, (True,) * nb)
 
 
 def test_roundtrip_identity_random():
@@ -296,6 +304,32 @@ def test_roundtrip_requires_full_partitions():
 
 
 # ---------------------------------------------------------------------------
+# random rank components that present relations
+
+# the seeds in 0..24,999 whose random_tight_component draw is gentle, maximal
+# and presents a relation
+TIGHT_RELATION_SEEDS = [2817, 6552, 15793, 16632, 17608, 20536, 21056, 24460]
+
+
+@pytest.mark.parametrize("seed", TIGHT_RELATION_SEEDS)
+def test_tight_components_present_relations(seed):
+    """Each pinned draw reaches the relation path and every check along it."""
+    q, c, beta, r = random_tight_component(random.Random(seed))
+    assert is_gentle(q, monochromatic_ideal(q, c)).ok
+    assert is_maximal_rank(q, c, beta, r)
+    pres = si_presentation(q, c, beta, r)
+    assert pres.matching.relations, "the sampler no longer draws this component"
+    rep = oracle.verify_presentation(pres.matching.system, pres.matching)
+    assert rep["generators_match"] and rep["relations_match"], rep["witnesses"]
+    for g in pres.generators:
+        assert oracle.verify_si_equations(g.partitions, q, c, beta), g.name
+        if g.kind != "band_var":
+            assert roundtrip_uy(pres.context, g.partitions) == (g.u, g.y), g.name
+    for rel in pres.matching.relations:
+        assert pres.relation_degree(rel) <= pres.degree_bound_rels
+
+
+# ---------------------------------------------------------------------------
 # closed forms from classical invariant theory
 #
 # With every arrow its own color there are no relations in the algebra, and
@@ -363,6 +397,8 @@ def test_degree_bounds_frozen():
     assert degree_bounds(q, {a: 0 for a in r}) == (0, 0)
     with pytest.raises(InputError):
         degree_bounds(q, {"a1": 2})
+    with pytest.raises(InputError, match="rank at a1 must be a nonnegative integer"):
+        degree_bounds(q, {a: True for a in r})
 
 
 def test_rank_zero_arrow_presentation():
@@ -436,6 +472,8 @@ BAD_INPUTS = {
     "missing beta": ("beta", {"5": None}, "dimension vector missing vertex 5"),
     "rank above beta": ("r", {"a1": 5}, "rank sequence"),
     "negative rank": ("r", {"a1": -1}, "rank at a1 must be a nonnegative integer"),
+    "bool beta": ("beta", {"2": True}, "dimension at 2 must be a nonnegative integer"),
+    "bool rank": ("r", {"a1": True}, "rank at a1 must be a nonnegative integer"),
 }
 
 
