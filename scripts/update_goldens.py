@@ -109,6 +109,20 @@ def quiver_outputs_digest() -> str:
     return h.hexdigest()
 
 
+# sha256 over presentation --json and peg --json of the running example with
+# beta and r times 25 and 50, the benchmark's heaviest quiver instances
+LARGE_DIGEST_NAME = "running_large_outputs.sha256"
+
+
+def large_outputs_digest() -> str:
+    h = hashlib.sha256()
+    for cmd in ("presentation", "peg"):
+        for k in (25, 50):
+            model = parse_model(scaled_running(k, True))
+            h.update(run_command(cmd, model, CliConfig(json=True)).encode("utf-8"))
+    return h.hexdigest()
+
+
 def run() -> int:
     for out_name, argv in CASES:
         argv = [
@@ -134,6 +148,10 @@ def run() -> int:
         quiver_outputs_digest() + "\n", encoding="utf-8"
     )
     print(f"wrote {QUIVER_DIGEST_NAME}")
+    (GOLDENS / LARGE_DIGEST_NAME).write_text(
+        large_outputs_digest() + "\n", encoding="utf-8"
+    )
+    print(f"wrote {LARGE_DIGEST_NAME}")
     return 0
 
 

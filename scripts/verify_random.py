@@ -1,10 +1,12 @@
-"""Cross-check the walk engine against brute force on random systems.
+"""Cross-check the walk engine against the oracle on random systems.
 
 Samples matching systems, presents each with the walk engine and replays
-the result through the independent enumeration oracle. Draws alternate
-between the sampler's default column mix, where about one system in eight
-has a relation, and a mix rich in two-row columns, where about one in five
-does. Any disagreement prints its witnesses and fails the run.
+the result through the independent oracle: generators by the
+Contejean-Devie completion, relations by one pass over the fibers. Draws
+alternate between the sampler's default column mix, where about one
+system in eight has a relation, and a mix rich in two-row columns, where
+about one in five does. Any disagreement prints its witnesses and fails
+the run.
 
 Usage: python scripts/verify_random.py [--count N] [--seed S]
 """

@@ -330,10 +330,6 @@ def _pairs(rels) -> list[list[str]]:
     return [[b, a] for b, a in sorted(rels)]
 
 
-def _root_key(rt) -> list:
-    return list(rt.key())
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -424,10 +420,10 @@ def _cmd_peg(model: ModelFile) -> dict:
         comps.append(
             {
                 "kind": cp.kind,
-                "roots": [_root_key(rt) for rt in cp.roots],
+                "roots": [list(rt) for rt in cp.roots],
                 "endpoints": [
                     {
-                        "root": _root_key(rt),
+                        "root": list(rt),
                         "cls": endpoint_of[rt].cls,
                         "phi": list(endpoint_of[rt].phi),
                     }
@@ -439,12 +435,12 @@ def _cmd_peg(model: ModelFile) -> dict:
         "command": "peg",
         "rank": ctx.r,
         "rank_derived": derived,
-        "roots": [_root_key(rt) for rt in graph.roots],
+        "roots": [list(rt) for rt in graph.roots],
         "vertex_edges": [
-            [_root_key(u), _root_key(w)] for u, w in graph.vertex_edges
+            [list(u), list(w)] for u, w in graph.vertex_edges
         ],
         "colored_edges": [
-            [_root_key(u), _root_key(w), a] for u, w, a in graph.colored_edges
+            [list(u), list(w), a] for u, w, a in graph.colored_edges
         ],
         "components": comps,
     }

@@ -40,12 +40,6 @@ class MatchingSystem:
     def num_vars(self) -> int:
         return len(self.var_names)
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self.var_names.index(name)
-        except ValueError:
-            raise InputError(f"unknown variable {name!r}") from None
-
     def row_support(self, row: int) -> tuple[int, ...]:
         return tuple(j for j, cj in enumerate(self.rows[row]) if cj)
 

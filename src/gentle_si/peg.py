@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, InvariantError, require
 from .matching import MatchingSystem, make_system
@@ -26,16 +26,16 @@ from .quivers import Coloring, Incidence, Quiver
 from .ranks import _slack
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """Labeled simple root alpha_index at (vertex, color)."""
+class Root(NamedTuple):
+    """Labeled simple root alpha_index at (vertex, color).
+
+    A plain tuple, so roots hash, compare and sort as (vertex, color, index).
+    The field index shadows tuple.index; nothing calls that method on a root.
+    """
 
     vertex: str
     color: str
     index: int
-
-    def key(self) -> tuple[str, str, int]:
-        return (self.vertex, self.color, self.index)
 
     def __repr__(self):
         return f"Root({self.vertex},{self.color},{self.index})"

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import InputError, require
 from .matching import Presentation, Relation, is_member, presentation
 from .peg import (
-    Endpoint,
     MatchingSystemExtract,
     PegGraph,
     Root,
@@ -38,10 +38,12 @@ PartitionMap = dict[str, tuple[int, ...]]
 class PegContext:
     """Graph and extraction for one (beta, r) pair, with lookups.
 
-    The extraction holds the components and their endpoints. arrow_comps
-    maps each arrow a to the indices in extract.components of the
-    components through its tail-side roots at heights 1..r(a)-1, in that
-    order.
+    The extraction holds the components and their endpoints; indices below
+    are positions in extract.components. arrow_comps maps each arrow a to
+    the components through its tail-side roots at heights 1..r(a)-1, in
+    that order. var_pos maps each variable to its position, readers lists
+    for each variable the string components whose first endpoint reads it
+    (once per read), and band_slots the bands in order.
     """
 
     q: Quiver
@@ -50,6 +52,9 @@ class PegContext:
     graph: PegGraph
     extract: MatchingSystemExtract
     arrow_comps: dict[str, tuple[int, ...]]
+    var_pos: dict[str, int]
+    readers: tuple[tuple[int, ...], ...]
+    band_slots: tuple[int, ...]
 
 
 def peg_context(
@@ -57,16 +62,25 @@ def peg_context(
 ) -> PegContext:
     graph = build_peg(q, c, beta, r)
     extract = extract_matching_system(graph, q, beta, r)
-    comp_of = {
-        rt: idx for idx, cp in enumerate(extract.components) for rt in cp.roots
-    }
+    comps = extract.components
+    comp_of = {rt: idx for idx, cp in enumerate(comps) for rt in cp.roots}
     arrow_comps = {
         a.name: tuple(
             comp_of[Root(a.tail, c.color(a.name), i)] for i in range(1, r[a.name])
         )
         for a in q.arrows
     }
-    return PegContext(q, beta, r, graph, extract, arrow_comps)
+    var_pos = {a: j for j, a in enumerate(extract.system.var_names)}
+    readers: list[list[int]] = [[] for _ in var_pos]
+    for idx, cp in enumerate(comps):
+        if cp.kind == "string":
+            for a in extract.endpoint_of[cp.endpoints[0]].phi:
+                readers[var_pos[a]].append(idx)
+    band_slots = tuple(idx for idx, cp in enumerate(comps) if cp.kind == "band")
+    return PegContext(
+        q, beta, r, graph, extract, arrow_comps,
+        var_pos, tuple(map(tuple, readers)), band_slots,
+    )
 
 
 def _check_uy(
@@ -92,23 +106,16 @@ def _check_uy(
     return u, y
 
 
-def _phi_sum(ctx: PegContext, endpoint: Endpoint, u: Sequence[int]) -> int:
-    sys_ = ctx.extract.system
-    return sum(u[sys_.var_index(a)] for a in endpoint.phi)
-
-
 def _values_by_component(
     ctx: PegContext, u: Sequence[int], y: Sequence[int]
 ) -> list[int]:
-    band_values = iter(y)  # extract.band_index lists the bands in component order
-    vals = []
-    for cp in ctx.extract.components:
-        if cp.kind == "isolated":
-            vals.append(0)
-        elif cp.kind == "band":
-            vals.append(next(band_values))
-        else:
-            vals.append(_phi_sum(ctx, ctx.extract.endpoint_of[cp.endpoints[0]], u))
+    vals = [0] * len(ctx.extract.components)
+    for idx, v in zip(ctx.band_slots, y):
+        vals[idx] = v
+    for uj, comps in zip(u, ctx.readers):
+        if uj:
+            for idx in comps:
+                vals[idx] += uj
     return vals
 
 
@@ -153,13 +160,12 @@ def lambda_from_uy(
 def _partitions(
     ctx: PegContext, u: tuple[int, ...], vals: Sequence[int]
 ) -> PartitionMap:
-    sys_ = ctx.extract.system
     lam: PartitionMap = {}
     for a in ctx.q.arrow_names():
         if ctx.r[a] == 0:
             lam[a] = ()
             continue
-        acc = u[sys_.var_index(a)]
+        acc = u[ctx.var_pos[a]]
         parts = [acc]
         for idx in reversed(ctx.arrow_comps[a]):
             acc += vals[idx]
@@ -242,19 +248,15 @@ def _membership(
             continue
         vecs = [_incidence_vector(lam, pair, bx, x) for pair in pairs]
         if len(vecs) == 1:
-            v = vecs[0]
-            sig = v[0]
-            for i in range(1, bx):
-                if v[i] != sig:
-                    return MembershipResult(False, witness=(x, i + 1))
+            sums = vecs[0]
         elif len(vecs) == 2:
-            v1, v2 = vecs
-            sig = v1[0] + v2[bx - 1]
-            for i in range(1, bx):
-                if v1[i] + v2[bx - 1 - i] != sig:
-                    return MembershipResult(False, witness=(x, i + 1))
+            sums = list(map(add, vecs[0], reversed(vecs[1])))
         else:
             raise InputError(f"vertex {x} carries more than two colors")
+        sig = sums[0]
+        if sums.count(sig) != bx:
+            i = next(i for i, s in enumerate(sums) if s != sig)
+            return MembershipResult(False, witness=(x, i + 1))
         sigma[x] = sig
     return MembershipResult(True, sigma=sigma)
 

@@ -169,6 +169,18 @@ def test_scaled_running_outputs_match_golden_digest():
     assert h.hexdigest() == digest.split()[0]
 
 
+def test_large_running_outputs_match_golden_digest():
+    """presentation and peg print exactly as recorded at beta and r times 25
+    and 50, the benchmark's heaviest quiver instances."""
+    h = hashlib.sha256()
+    for cmd in ("presentation", "peg"):
+        for k in (25, 50):
+            model = parse_model(scaled_running(k))
+            h.update(run_command(cmd, model, CliConfig(json=True)).encode("utf-8"))
+    digest = (GOLDENS / "running_large_outputs.sha256").read_text(encoding="utf-8")
+    assert h.hexdigest() == digest.split()[0]
+
+
 # ---------------------------------------------------------------------------
 # report schema
 

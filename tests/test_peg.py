@@ -1,5 +1,7 @@
 """Tests for the partition equivalence graph pipeline."""
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from fixtures import determinant_example, path_example, running_example, running_system
 from reference import enumerate_points, random_colored_quiver
 
+from gentle_si.cli import CliConfig, parse_model, run_command
 from gentle_si.errors import InputError
 from gentle_si.peg import (
     Root,
@@ -22,6 +25,8 @@ from gentle_si.peg import (
 from gentle_si.quivers import Arrow, Coloring, Quiver, monochromatic_ideal, is_gentle
 from gentle_si.ranks import maximal_rank_sequences
 from gentle_si.si import si_presentation
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
 def running_peg():
@@ -79,8 +84,8 @@ def test_running_components():
         ("5", "b", 1), ("5", "c", 1), ("4", "c", 1), ("4", "b", 3),
         ("2", "b", 1), ("2", "a", 5),
     ]
-    assert [rt.key() for rt in band.roots] == expected
-    strings = [sorted(rt.key() for rt in cp.roots) for cp in comps[1:]]
+    assert [tuple(rt) for rt in band.roots] == expected
+    strings = [sorted(tuple(rt) for rt in cp.roots) for cp in comps[1:]]
     assert strings == [
         [("2", "a", 2), ("2", "b", 4)],
         [("2", "a", 3), ("2", "b", 3)],
@@ -104,7 +109,7 @@ def test_running_walks_alternate_edge_kinds():
 
 def test_running_endpoint_classes():
     g, q, c, beta, r = running_peg()
-    eps = {ep.root.key(): (ep.cls, ep.phi) for ep in classify_endpoints(g, beta, r)}
+    eps = {tuple(ep.root): (ep.cls, ep.phi) for ep in classify_endpoints(g, beta, r)}
     assert eps == {
         ("2", "a", 2): ("Ib", ("a2",)),
         ("2", "a", 3): ("Id", ()),
@@ -123,6 +128,28 @@ def test_theta_running():
     assert theta(g, theta(g, Root("2", "a", 2))) == Root("2", "a", 2)
     with pytest.raises(InputError):
         theta(g, Root("1", "a", 1))  # band root, degree 2
+
+
+def test_root_contract():
+    """Roots hash, compare and sort as (vertex, color, index) tuples, print
+    as Root(x,s,i), serve theta alone or inside their Endpoint and render as
+    lists in peg --json (peg --dot is a golden in test_cli)."""
+    g, q, c, beta, r = running_peg()
+    rt = Root("2", "a", 2)
+    assert tuple(rt) == ("2", "a", 2)
+    assert hash(rt) == hash(("2", "a", 2))
+    assert rt == ("2", "a", 2) and rt < Root("2", "a", 10) < Root("2", "b", 1)
+    shuffled = list(g.roots)
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(shuffled, key=tuple)
+    assert min(shuffled) == min(map(tuple, shuffled))
+    assert repr(rt) == "Root(2,a,2)"
+    endpoint = next(ep for ep in classify_endpoints(g, beta, r) if ep.root == rt)
+    assert theta(g, endpoint) == theta(g, rt) == Root("2", "b", 4)
+    model = parse_model((GOLDENS / "running.model").read_text(encoding="utf-8"))
+    report = json.loads(run_command("peg", model, CliConfig(json=True)))
+    assert report["roots"] == [list(rt) for rt in g.roots]
+    assert report["components"][0]["roots"][:2] == [["1", "a", 1], ["1", "b", 1]]
 
 
 def test_running_extraction_matches_frozen_system():

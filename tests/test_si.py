@@ -86,6 +86,23 @@ def test_determinant_membership_failure_witness():
     assert not oracle.verify_si_equations({"a": (2, 1)}, q, c, beta)
 
 
+@pytest.mark.parametrize(
+    "arrow,parts,witness", [("b2", (1, 0), ("2", 6)), ("a2", (2, 1), ("2", 2))]
+)
+def test_running_membership_failure_witness_at_two_color_vertex(arrow, parts, witness):
+    """One part of g3 changed. Vertex 2 carries colors a and b; its mirrored
+    sums disagree only at entry 6 in the first case, and at entries 2..6 in
+    the second, where the witness is the first of them."""
+    q, c, beta, r = running_example()
+    lam = dict(si_presentation(q, c, beta, r).generator("g3").partitions)
+    lam[arrow] = parts
+    res = si_membership(lam, q, c, beta)
+    assert not res.ok
+    assert res.sigma is None
+    assert res.witness == witness
+    assert not oracle.verify_si_equations(lam, q, c, beta)
+
+
 def test_membership_validates_partitions():
     q, c, beta, r = determinant_example()
     with pytest.raises(InputError):
