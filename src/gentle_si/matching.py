@@ -318,10 +318,6 @@ def _vector(graph: MatchingGraph, edges) -> tuple[int, ...]:
     return tuple(u)
 
 
-def walk_vector(graph: MatchingGraph, walk: Walk) -> tuple[int, ...]:
-    return _vector(graph, walk.edges)
-
-
 def render_walk(graph: MatchingGraph, walk: Walk) -> str:
     names = graph.system.var_names
     parts = [str(walk.vertices[0])]
@@ -378,13 +374,13 @@ def _band_canonical(graph, vertices, edges):
     return best
 
 
-def _extend(graph: MatchingGraph, verts, edges, fv, min_edge, visit) -> None:
+def _extend(graph: MatchingGraph, verts, edges, fv, visit) -> None:
     """Grow an alternating walk from its end, depth first.
 
     The walk steps to the dotted partner w of its end and calls visit(w)
-    there. It then goes on through every non-loop solid edge at w whose id
-    is at least min_edge and which keeps both row counts in fv at most 2.
-    verts, edges and fv are as they were when this returns.
+    there. It then goes on through every non-loop solid edge at w which
+    keeps both row counts in fv at most 2. verts, edges and fv are as they
+    were when this returns.
     """
     w = graph.partner(verts[-1])
     verts.append(w)
@@ -393,7 +389,7 @@ def _extend(graph: MatchingGraph, verts, edges, fv, min_edge, visit) -> None:
     if fv.get(w, 0) < 2:
         for eid in graph.edges_at(w):
             e = graph.solid_edges[eid]
-            if eid < min_edge or e.is_loop:
+            if e.is_loop:
                 continue
             z = e.other(w)
             if fv.get(z, 0) < 2:
@@ -401,7 +397,7 @@ def _extend(graph: MatchingGraph, verts, edges, fv, min_edge, visit) -> None:
                 fv[z] = fv.get(z, 0) + 1
                 verts.append(z)
                 edges.append(eid)
-                _extend(graph, verts, edges, fv, min_edge, visit)
+                _extend(graph, verts, edges, fv, visit)
                 edges.pop()
                 verts.pop()
                 fv[z] -= 1
@@ -410,105 +406,66 @@ def _extend(graph: MatchingGraph, verts, edges, fv, min_edge, visit) -> None:
     edges.pop()
 
 
-def _loop_starts(graph: MatchingGraph):
-    """(verts, edges, fv) of the one-edge walk along each loop."""
+def _walks(graph: MatchingGraph):
+    """Every walk the presentation reads, from two depth-first passes.
+
+    The loop-started pass starts once from each loop. At each dotted step it
+    records the walk so far as an X arm, by the end of its last solid edge,
+    and it offers a string wherever a loop at the new end closes the walk.
+    The loop-free pass starts once from each vertex x, at partner(x) as a
+    virtual end, so its first solid step is taken at x. It records each
+    walk as an H walk, by x and the end of its last solid edge, and it
+    offers a band wherever the walk closes at x with at least two solid
+    edges, the first of them its smallest: so each band is offered from its
+    smallest edge only, in either direction.
+
+    Returns (best, arms, h_walks). best maps each walk vector to its walk
+    with the smallest (edge count, canonical tokens); arms and h_walks map
+    ends to sets of vectors.
+    """
+    best: dict[tuple, tuple] = {}
+    arms: dict[int, set] = {}
+    h_walks: dict[tuple[int, int], set] = {}
+
+    def offer(kind, canonical):
+        key, (vv, ee) = canonical
+        u = _vector(graph, ee)
+        cur = best.get(u)
+        if cur is None:
+            require(
+                is_member(graph.system, u), f"{kind} walk vector fails membership"
+            )
+        if cur is None or (len(ee), key) < cur[0]:
+            best[u] = ((len(ee), key), Walk(kind, vv, ee))
+
     for eid, e in enumerate(graph.solid_edges):
-        if e.is_loop:
-            v0 = e.ends[0]
-            yield [v0, v0], [eid], {v0: 1}
-
-
-def _keep(graph: MatchingGraph, found: dict, kind: str, canonical) -> None:
-    """Store a walk under its canonical key unless that key is present."""
-    key, (vv, ee) = canonical
-    if key not in found:
-        walk = Walk(kind, vv, ee)
-        require(
-            is_member(graph.system, walk_vector(graph, walk)),
-            f"{kind} walk vector fails membership",
-        )
-        found[key] = walk
-
-
-def enumerate_strings(graph: MatchingGraph) -> list[Walk]:
-    """All loop-to-loop alternating walks with every row count at most 2."""
-    found: dict[tuple, Walk] = {}
-    for verts, edges, fv in _loop_starts(graph):
+        if not e.is_loop:
+            continue
+        v0 = e.ends[0]
+        verts, edges, fv = [v0, v0], [eid], {v0: 1}
 
         def visit(w):
-            if fv.get(w, 0) >= 2:
-                return
-            for eid in graph.edges_at(w):
-                if graph.solid_edges[eid].is_loop:
-                    walk = _string_canonical(graph, verts + [w], edges + [eid])
-                    _keep(graph, found, "string", walk)
-
-        _extend(graph, verts, edges, fv, 0, visit)
-    return [found[k] for k in sorted(found)]
-
-
-def enumerate_bands(graph: MatchingGraph) -> list[Walk]:
-    """All closed loop-free alternating walks with row counts at most 2.
-
-    Each band is walked from its smallest solid edge only: the walk from
-    start never takes a smaller edge, and it still reaches every band whose
-    edges are all at least start, since it keeps extending past returns to
-    v0.
-    """
-    found: dict[tuple, Walk] = {}
-    for start, e in enumerate(graph.solid_edges):
-        if e.is_loop:
-            continue
-        p, q = e.ends
-        for v0, v1 in ((p, q), (q, p)):
-            verts, edges = [v0, v1], [start]
-
-            def visit(w):
-                if w == v0 and len(edges) >= 4:
-                    walk = _band_canonical(graph, tuple(verts), tuple(edges))
-                    _keep(graph, found, "band", walk)
-
-            _extend(graph, verts, edges, {p: 1, q: 1}, start, visit)
-    return [found[k] for k in sorted(found)]
-
-
-def _partial_strings(graph: MatchingGraph):
-    """Vectors of loop-started walks ending with a solid edge, by endpoint.
-
-    A second loop would sit in the interior of any string completed through
-    a dotted edge, so these are the string walks cut before their closing
-    loop: at each visit the walk ends with a solid edge at partner(w).
-    """
-    arms: dict[int, set] = {}
-    for verts, edges, fv in _loop_starts(graph):
-
-        def visit(_w):
             arms.setdefault(verts[-2], set()).add(_vector(graph, edges))
+            if fv.get(w, 0) < 2:
+                for lid in graph.edges_at(w):
+                    if graph.solid_edges[lid].is_loop:
+                        walk = (verts + [w], edges + [lid])
+                        offer("string", _string_canonical(graph, *walk))
 
-        _extend(graph, verts, edges, fv, 0, visit)
-    return arms
+        _extend(graph, verts, edges, fv, visit)
 
-
-def _loop_free_walks(graph: MatchingGraph):
-    """Vectors of solid-bounded loop-free walks, keyed by (start, end).
-
-    Each walk from x starts at partner(x) as a virtual end, so its first
-    solid step is taken at x itself.
-    """
-    out: dict[tuple[int, int], set] = {}
     for x in range(1, 2 * graph.m + 1):
         verts, edges = [graph.partner(x)], []
 
-        def visit(_w):
+        def visit(w):
             if len(edges) > 1:
-                out.setdefault((x, verts[-2]), set()).add(_vector(graph, edges))
+                h_walks.setdefault((x, verts[-2]), set()).add(_vector(graph, edges))
+            if w == x and len(edges) >= 5 and edges[1] == min(edges[1::2]):
+                walk = (tuple(verts[1:]), tuple(edges[1:]))
+                offer("band", _band_canonical(graph, *walk))
 
-        _extend(graph, verts, edges, {}, 0, visit)
-    return out
-
-
-def _walk_sort_key(graph, w: Walk):
-    return (len(w.edges), _tokens(graph, w.vertices, w.edges))
+        _extend(graph, verts, edges, {}, visit)
+    return {u: walk for u, (_, walk) in best.items()}, arms, h_walks
 
 
 def _decompose_first(vectors, rem, start, memo):
@@ -532,33 +489,6 @@ def _decompose_first(vectors, rem, start, memo):
                     break
         memo[key] = out
     return memo[key]
-
-
-def enumerate_irreducible_walks(
-    graph: MatchingGraph,
-) -> list[tuple[tuple[int, ...], Walk]]:
-    """Walk vectors that admit no split into smaller walk vectors.
-
-    Returns (vector, walk) pairs sorted by (total, lex); among walks sharing
-    a vector the shortest (then token-smallest) representative is kept.
-    """
-    best: dict[tuple, Walk] = {}
-    for w in enumerate_strings(graph) + enumerate_bands(graph):
-        u = walk_vector(graph, w)
-        cur = best.get(u)
-        if cur is None or _walk_sort_key(graph, w) < _walk_sort_key(graph, cur):
-            best[u] = w
-    # a split of u uses only vectors of smaller total; by descending total
-    # these are the suffix after the last vector of total at least sum(u)
-    vecs = sorted(best, key=sum, reverse=True)
-    neg_totals = [-sum(v) for v in vecs]
-    memo: dict[tuple, Optional[tuple]] = {}
-    out = []
-    for u in sorted(best, key=lambda v: (sum(v), v)):
-        start = bisect.bisect_right(neg_totals, -sum(u))
-        if _decompose_first(vecs, u, start, memo) is None:
-            out.append((u, best[u]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +547,22 @@ class Presentation:
 
 def generators(graph: MatchingGraph) -> list[Generator]:
     """Irreducible walk vectors plus unit generators for free variables."""
+    return _generators(graph, _walks(graph)[0])
+
+
+def _generators(graph: MatchingGraph, best: dict) -> list[Generator]:
+    """The vectors of best with no split into smaller ones, each with its
+    walk, and a unit vector per free variable, named by (total, vector)."""
+    # a split of u uses only vectors of smaller total; by descending total
+    # these are the suffix after the last vector of total at least sum(u)
+    vecs = sorted(best, key=sum, reverse=True)
+    neg_totals = [-sum(v) for v in vecs]
+    memo: dict[tuple, Optional[tuple]] = {}
     items = []
-    for u, w in enumerate_irreducible_walks(graph):
-        items.append((u, w.kind, render_walk(graph, w)))
+    for u, w in best.items():
+        start = bisect.bisect_right(neg_totals, -sum(u))
+        if _decompose_first(vecs, u, start, memo) is None:
+            items.append((u, w.kind, render_walk(graph, w)))
     nv = graph.system.num_vars
     for j in graph.free_vars:
         u = tuple(1 if i == j else 0 for i in range(nv))
@@ -757,8 +700,7 @@ def _swap_candidates(dec, left, right, provenance, cands):
             cands.append(((a, b), provenance))
 
 
-def _x_candidates(graph, dec):
-    arms = _partial_strings(graph)
+def _x_candidates(graph, arms, dec):
     cands = []
     for v, w in graph.dotted_edges():
         _swap_candidates(
@@ -771,8 +713,7 @@ def _x_candidates(graph, dec):
     return cands
 
 
-def _h_candidates(graph, dec):
-    walks = _loop_free_walks(graph)
+def _h_candidates(graph, h_walks, dec):
     cands = []
     dotted = graph.dotted_edges()
     for (v, vbar), (w, wbar) in itertools.combinations(dotted, 2):
@@ -780,8 +721,8 @@ def _h_candidates(graph, dec):
         for aend, bend in ((w, wbar), (wbar, w)):
             _swap_candidates(
                 dec,
-                sorted(walks.get((v, aend), ())),
-                sorted(walks.get((vbar, bend), ())),
+                sorted(h_walks.get((v, aend), ())),
+                sorted(h_walks.get((vbar, bend), ())),
                 provenance,
                 cands,
             )
@@ -867,9 +808,10 @@ def presentation(sys_: MatchingSystem) -> Presentation:
     RELATION_CAP_FLOOR.
     """
     graph = build_graph(sys_)
-    gens = generators(graph)
+    best, arms, h_walks = _walks(graph)
+    gens = _generators(graph, best)
     dec = _decomposer(gens)
-    cands = _x_candidates(graph, dec) + _h_candidates(graph, dec)
+    cands = _x_candidates(graph, arms, dec) + _h_candidates(graph, h_walks, dec)
     relations, sums = _prune(cands, gens, sys_.num_vars)
     cap = max([RELATION_CAP_FLOOR] + [max(sys_.fprofile(u), default=0) for u in sums])
     return Presentation(

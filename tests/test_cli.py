@@ -21,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gentle_si import cli, peg, quivers, ranks, si
+from fixtures import closing_system
+from gentle_si import cli, matching, peg, quivers, ranks, si
 from gentle_si.cli import CliConfig, main, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.ranks import is_maximal_rank
@@ -556,6 +557,33 @@ def test_invariant_error_maps_to_exit_2(capsys, monkeypatch):
     assert code == 2
     payload = json.loads(out)
     assert payload["error"]["kind"] == "invariant"
+    jsonschema.validate(payload, load_schema())
+
+
+def test_walk_vector_outside_the_semigroup_exits_2(capsys, monkeypatch):
+    """A walk vector that fails membership can only come from an engine bug:
+    presentation raises InvariantError and the generators command exits 2."""
+    monkeypatch.setattr(matching, "is_member", lambda sys_, u: False)
+    with pytest.raises(InvariantError, match="walk vector fails membership"):
+        matching.presentation(closing_system())
+    code, out, err = run_cli(capsys, "generators", model_path("closing.model"))
+    assert (code, out) == (2, "")
+    assert "walk vector fails membership" in err
+
+
+def test_model_that_is_not_utf8_exits_1(capsys, tmp_path):
+    """A model file holding a byte that is not UTF-8 is an input error in
+    both modes, not a traceback."""
+    path = tmp_path / "bad.model"
+    path.write_bytes((GOLDENS / "closing.model").read_bytes() + b"\xff\n")
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    code, out, err = run_cli(capsys, "validate", path, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "input"
+    assert payload["error"]["message"].startswith(f"cannot read {path}: ")
     jsonschema.validate(payload, load_schema())
 
 

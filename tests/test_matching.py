@@ -38,20 +38,19 @@ from gentle_si.matching import (
     _band_canonical,
     _band_orientations,
     _decomposer,
+    _generators,
     _h_candidates,
     _prune,
+    _tokens,
+    _vector,
+    _walks,
     _x_candidates,
     build_graph,
-    enumerate_bands,
-    enumerate_irreducible_walks,
-    enumerate_strings,
     forced_zero_vars,
     generators,
     is_member,
     make_system,
     presentation,
-    render_walk,
-    walk_vector,
 )
 
 
@@ -125,10 +124,9 @@ def test_presolve_cascades():
 
 
 def test_closing_walk_vectors_match_oracle_freeze():
-    g = build_graph(closing_system())
-    irr = enumerate_irreducible_walks(g)
-    assert {u for u, _ in irr} == set(CLOSING_GENERATORS.values())
-    kinds = {u: w.kind for u, w in irr}
+    gens = generators(build_graph(closing_system()))
+    kinds = {x.vector: x.kind for x in gens}
+    assert set(kinds) == set(CLOSING_GENERATORS.values())
     assert kinds[CLOSING_GENERATORS["X1"]] == "string"
     assert kinds[CLOSING_GENERATORS["Y2"]] == "string"
     assert kinds[CLOSING_GENERATORS["Z1"]] == "band"
@@ -137,20 +135,19 @@ def test_closing_walk_vectors_match_oracle_freeze():
 
 def test_eleven_walks_contain_w1_w2():
     g = build_graph(eleven_var_system())
-    vectors = {}
-    for w in enumerate_strings(g) + enumerate_bands(g):
-        vectors[walk_vector(g, w)] = w
-    assert ELEVEN_W1 in vectors
-    assert vectors[ELEVEN_W1].kind == "band"
-    assert ELEVEN_W2 in vectors
-    assert vectors[ELEVEN_W2].kind == "string"
-    irr = {u for u, _ in enumerate_irreducible_walks(g)}
-    assert irr == set(ELEVEN_GENERATORS)
+    best, _, _ = _walks(g)
+    assert ELEVEN_W1 in best
+    assert best[ELEVEN_W1].kind == "band"
+    assert ELEVEN_W2 in best
+    assert best[ELEVEN_W2].kind == "string"
+    gens = generators(g)
+    assert {x.kind for x in gens} <= {"string", "band"}
+    assert {x.vector for x in gens} == set(ELEVEN_GENERATORS)
 
 
 def test_band_canonical_rotation_invariant():
     g = build_graph(closing_system())
-    for band in enumerate_bands(g):
+    for band in _bands_from_every_closure(g).values():
         key, _ = _band_canonical(g, band.vertices, band.edges)
         for vv, ee in _band_orientations(band.vertices, band.edges):
             key2, _ = _band_canonical(g, vv, ee)
@@ -158,9 +155,7 @@ def test_band_canonical_rotation_invariant():
 
 
 def test_render_walk_tokens():
-    g = build_graph(running_system())
-    irr = enumerate_irreducible_walks(g)
-    rendered = {u: render_walk(g, w) for u, w in irr}
+    rendered = {x.vector: x.walk for x in generators(build_graph(running_system()))}
     # a2+b1 is the two-loop string across the first dotted edge
     assert rendered[(0, 1, 1, 0, 0, 0, 0)] == "1 -a2- 1 ~ 4 -b1- 4"
 
@@ -258,16 +253,20 @@ def test_generator_entries_and_fvalues_capped_at_two(
             assert max(p.system.fprofile(g.vector), default=0) <= 2
 
 
-def _pruned(form, sys_):
-    """The relations one candidate kind keeps on its own, and the generators."""
+def _pruned(sys_):
+    """The relations the X and the H candidates each keep on their own, and
+    the generators."""
     g = build_graph(sys_)
-    gens = generators(g)
-    rels, _ = _prune(form(g, _decomposer(gens)), gens, sys_.num_vars)
-    return rels, gens
+    best, arms, h_walks = _walks(g)
+    gens = _generators(g, best)
+    dec = _decomposer(gens)
+    xrels, _ = _prune(_x_candidates(g, arms, dec), gens, sys_.num_vars)
+    hrels, _ = _prune(_h_candidates(g, h_walks, dec), gens, sys_.num_vars)
+    return xrels, hrels, gens
 
 
 def test_find_x_closing_contains_swap_relation():
-    rels, gens = _pruned(_x_candidates, closing_system())
+    rels, _, gens = _pruned(closing_system())
     byname = {x.name: x.vector for x in gens}
     label = {v: k for k, v in CLOSING_GENERATORS.items()}
     assert rels, "no X-configuration found"
@@ -284,7 +283,7 @@ def test_find_x_closing_contains_swap_relation():
 
 
 def test_find_h_closing_is_band_swap():
-    rels, gens = _pruned(_h_candidates, closing_system())
+    _, rels, gens = _pruned(closing_system())
     byname = {x.name: x.vector for x in gens}
     label = {v: k for k, v in CLOSING_GENERATORS.items()}
     assert len(rels) == 1
@@ -299,8 +298,7 @@ def test_find_h_closing_is_band_swap():
 
 def test_configuration_relations_lie_in_kernel():
     sys_ = closing_system()
-    xrels, gens = _pruned(_x_candidates, sys_)
-    hrels, _ = _pruned(_h_candidates, sys_)
+    xrels, hrels, gens = _pruned(sys_)
     byname = {x.name: x.vector for x in gens}
     ogens = minimal_generators_bruteforce(sys_)
     orels = toric_relations_bruteforce(ogens, 4, system=sys_)
@@ -419,8 +417,10 @@ def test_random_walks_are_members(seed):
     rng = random.Random(seed)
     sys_ = oracle.random_matching_system(rng, max_m=4, max_l=8)
     g = build_graph(sys_)
-    for w in enumerate_strings(g) + enumerate_bands(g):
-        assert is_member(sys_, walk_vector(g, w))
+    best, _, _ = _walks(g)
+    for u, w in best.items():
+        assert _vector(g, w.edges) == u
+        assert is_member(sys_, u)
 
 
 RANDOM_DIGEST = (
@@ -573,44 +573,91 @@ def _quadruple_swap_candidates(dec, left, right, provenance, cands):
                 cands.append((rel, provenance))
 
 
-def _bands_from_every_closure(graph):
-    """Every closure of every band walked from each solid edge, canonicalised."""
-    found = {}
-    nonloops = [eid for eid, e in enumerate(graph.solid_edges) if not e.is_loop]
-    for start in nonloops:
-        p, q = graph.solid_edges[start].ends
-        for v0, v1 in ((p, q), (q, p)):
-            fv = {p: 1, q: 1}
-            verts = [v0, v1]
-            edges = [start]
+def _reference_vector(graph, edges):
+    u = [0] * graph.system.num_vars
+    for e in edges:
+        if e != DOTTED:
+            u[graph.solid_edges[e].var] += 1
+    return tuple(u)
 
-            def extend(cur):
-                w = graph.partner(cur)
-                verts.append(w)
-                edges.append(DOTTED)
+
+def _walk_every(graph, verts, edges, fv, visit):
+    """Every alternating continuation of the walk that keeps each row count
+    at most 2; visit(w) is called after each dotted step, to w."""
+
+    def extend(cur):
+        w = graph.partner(cur)
+        verts.append(w)
+        edges.append(DOTTED)
+        visit(w)
+        for eid in graph.edges_at(w):
+            e = graph.solid_edges[eid]
+            if e.is_loop:
+                continue
+            z = e.other(w)
+            if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
+                fv[w] = fv.get(w, 0) + 1
+                fv[z] = fv.get(z, 0) + 1
+                verts.append(z)
+                edges.append(eid)
+                extend(z)
+                edges.pop()
+                verts.pop()
+                fv[z] -= 1
+                fv[w] -= 1
+        verts.pop()
+        edges.pop()
+
+    extend(verts[-1])
+
+
+def _bands_from_every_closure(graph):
+    """Every closure of every band walked from each solid edge, by its
+    canonical tokens."""
+    found = {}
+    for start, e in enumerate(graph.solid_edges):
+        if e.is_loop:
+            continue
+        p, q = e.ends
+        for v0, v1 in ((p, q), (q, p)):
+            verts, edges = [v0, v1], [start]
+
+            def visit(w):
                 if w == v0 and len(edges) >= 4:
                     key, (vv, ee) = _band_canonical(graph, tuple(verts), tuple(edges))
                     found.setdefault(key, Walk("band", vv, ee))
-                for eid in graph.edges_at(w):
-                    e = graph.solid_edges[eid]
-                    if e.is_loop:
-                        continue
-                    z = e.other(w)
-                    if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
-                        fv[w] = fv.get(w, 0) + 1
-                        fv[z] = fv.get(z, 0) + 1
-                        verts.append(z)
-                        edges.append(eid)
-                        extend(z)
-                        edges.pop()
-                        verts.pop()
-                        fv[z] -= 1
-                        fv[w] -= 1
-                verts.pop()
-                edges.pop()
 
-            extend(v1)
-    return [found[k] for k in sorted(found)]
+            _walk_every(graph, verts, edges, {p: 1, q: 1}, visit)
+    return found
+
+
+def _arms_and_h_walks(graph):
+    """X arm vectors by end, walked from each loop, and H walk vectors by
+    (start, end), walked from each solid edge at each start; an end is the
+    far end of the last solid edge."""
+    arms, h_walks = {}, {}
+    for eid, e in enumerate(graph.solid_edges):
+        if e.is_loop:
+            v = e.ends[0]
+            verts, edges = [v, v], [eid]
+
+            def arm(_w):
+                arms.setdefault(verts[-2], set()).add(_reference_vector(graph, edges))
+
+            _walk_every(graph, verts, edges, {v: 1}, arm)
+    for x in range(1, 2 * graph.m + 1):
+        for eid in graph.edges_at(x):
+            e = graph.solid_edges[eid]
+            if e.is_loop:
+                continue
+            verts, edges = [x, e.other(x)], [eid]
+
+            def h_walk(_w):
+                key = (x, verts[-2])
+                h_walks.setdefault(key, set()).add(_reference_vector(graph, edges))
+
+            _walk_every(graph, verts, edges, {x: 1, e.other(x): 1}, h_walk)
+    return arms, h_walks
 
 
 def _reference_systems():
@@ -629,20 +676,38 @@ def _distinct_candidates(graph, gens):
     """Each distinct X/H candidate relation with the provenance it is first
     formed with; the pruning step orders exactly these."""
     dec = _decomposer(gens)
+    _, arms, h_walks = _walks(graph)
+    cands = _x_candidates(graph, arms, dec) + _h_candidates(graph, h_walks, dec)
     first = {}
-    for rel, prov in _x_candidates(graph, dec) + _h_candidates(graph, dec):
+    for rel, prov in cands:
         first.setdefault(rel, prov)
     return first
 
 
 def test_candidates_and_bands_match_references(monkeypatch):
-    """One relation per distinct signed generator count gives the quadruple
-    scan's candidates, provenance included; bands match canonicalising every
-    closure."""
+    """The walk passes give the reference walker's X arms and H walks. Each
+    band vector's best walk is its best band closure, by (edge count,
+    tokens), or a string ahead of it. One relation per distinct signed
+    generator count gives the quadruple scan's candidates, provenance
+    included."""
     for sys_ in _reference_systems():
         graph = build_graph(sys_)
-        assert enumerate_bands(graph) == _bands_from_every_closure(graph)
-        gens = generators(graph)
+        best, arms, h_walks = _walks(graph)
+        assert (arms, h_walks) == _arms_and_h_walks(graph)
+        closures = {}
+        for key, band in _bands_from_every_closure(graph).items():
+            u = _reference_vector(graph, band.edges)
+            rank = (len(band.edges), key)
+            if u not in closures or rank < closures[u][0]:
+                closures[u] = (rank, band)
+        assert {u for u, w in best.items() if w.kind == "band"} <= set(closures)
+        for u, (rank, band) in closures.items():
+            w = best[u]
+            if w.kind == "band":
+                assert w == band
+            else:
+                assert (len(w.edges), _tokens(graph, w.vertices, w.edges)) < rank
+        gens = _generators(graph, best)
         got = _distinct_candidates(graph, gens)
         with monkeypatch.context() as m:
             m.setattr(matching, "_swap_candidates", _quadruple_swap_candidates)
@@ -682,7 +747,7 @@ def test_swap_candidates_keep_counts_apart_in_packed_keys():
 
 def test_closing_bands_canonicalise_few_closures(monkeypatch):
     """Each band is canonicalised from its smallest solid edge only (120 calls
-    when every closure from every edge was)."""
+    when every closure from every edge was). Its 14 bands have 13 vectors."""
     calls = []
 
     def counted(*args):
@@ -690,6 +755,26 @@ def test_closing_bands_canonicalise_few_closures(monkeypatch):
         return _band_canonical(*args)
 
     monkeypatch.setattr(matching, "_band_canonical", counted)
-    bands = enumerate_bands(build_graph(closing_system()))
-    assert len(bands) == 14
+    best, _, _ = _walks(build_graph(closing_system()))
+    assert sum(w.kind == "band" for w in best.values()) == 13
     assert len(calls) <= 40
+
+
+def test_closing_presentation_starts_twelve_walks(monkeypatch):
+    """closing.model: one walk starts at each of its 4 loops and at each of
+    its 2m = 8 vertices (28 when strings, bands, X arms and H walks each had
+    their own traversal). Only top-level entries of _extend count."""
+    extend = matching._extend
+    depth, starts = [0], [0]
+
+    def counted(*args):
+        starts[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            extend(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(matching, "_extend", counted)
+    presentation(closing_system())
+    assert starts == [12]
