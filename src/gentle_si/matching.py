@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -132,7 +131,7 @@ def system_from_rows(
     sys_ = MatchingSystem(
         m=m,
         var_names=tuple(str(n) for n in var_names),
-        rows=tuple(tuple(int(c) for c in r) for r in rows),
+        rows=tuple(tuple(r) for r in rows),
     )
     rep = validate_system(sys_)
     if not rep.ok:
@@ -150,8 +149,12 @@ def validate_system(sys_: MatchingSystem) -> ValidationReport:
             rep.add("shape", f"row {i} has wrong width")
             return rep
         for j, cj in enumerate(row):
-            if cj not in (0, 1):
-                rep.add("coeff", f"coefficient at row {i}, var {j} is {cj}")
+            # type, not isinstance: bool is an int subclass and no coefficient
+            if type(cj) is not int or cj not in (0, 1):
+                rep.add("coeff", f"coefficient at row {i}, var {j} is {cj!r}")
+    if not rep.ok:
+        # the checks below count coefficients as 0/1 ints
+        return rep
     for k in range(sys_.m):
         for j in range(sys_.num_vars):
             if sys_.rows[k][j] and sys_.rows[sys_.m + k][j]:
@@ -176,7 +179,7 @@ def is_member(sys_: MatchingSystem, u: Sequence[int]) -> bool:
         raise InputError(
             f"vector length {len(u)} does not match {sys_.num_vars} variables"
         )
-    if any(int(x) != x for x in u):
+    if any(type(x) is not int for x in u):
         raise InputError("membership is defined for integer vectors")
     if any(x < 0 for x in u):
         return False
@@ -190,6 +193,32 @@ def is_member(sys_: MatchingSystem, u: Sequence[int]) -> bool:
 
 DOTTED = -1
 
+# The engine packs each nonnegative vector u into one int, u[j] in bits
+# FIELD*j .. FIELD*j + FIELD - 1, the top one of them a guard bit kept 0.
+# A walk uses each row at most twice, so its entries are at most 2, and an
+# X/H side sum p + q of two walks has entries at most 4 < 2**(FIELD - 1).
+FIELD = 4
+
+
+def _pack(u: Sequence[int]) -> int:
+    require(
+        all(0 <= x < 1 << (FIELD - 1) for x in u),
+        f"vector {tuple(u)} does not fit {FIELD}-bit fields",
+    )
+    return sum(x << (FIELD * j) for j, x in enumerate(u))
+
+
+def _unpack(packed: int, n: int) -> tuple[int, ...]:
+    mask = (1 << FIELD) - 1
+    return tuple((packed >> (FIELD * j)) & mask for j in range(n))
+
+
+def _guard(n: int) -> int:
+    """The guard bits of n fields. For packed a and b, b <= a componentwise
+    exactly when ((a | guard) - b) & guard == guard: each field subtracts
+    from its own guard bit and borrows from nothing above it."""
+    return sum(1 << (FIELD * j + FIELD - 1) for j in range(n))
+
 
 @dataclass(frozen=True)
 class SolidEdge:
@@ -197,6 +226,7 @@ class SolidEdge:
 
     var: int
     ends: tuple[int, ...]  # (v,) for a loop, else (p, q) with p < q
+    unit: int  # the packed unit vector of var
 
     @property
     def is_loop(self) -> bool:
@@ -277,7 +307,7 @@ def build_graph(sys_: MatchingSystem) -> MatchingGraph:
                 not (verts[0] <= sys_.m and verts[1] == verts[0] + sys_.m),
                 "solid edge would close an alternating two-cycle",
             )
-        edges.append(SolidEdge(var=j, ends=verts))
+        edges.append(SolidEdge(var=j, ends=verts, unit=1 << (FIELD * j)))
     at: dict[int, list[int]] = {}
     for eid, e in enumerate(edges):
         for v in set(e.ends):
@@ -307,15 +337,6 @@ class Walk:
     kind: str  # "string" or "band"
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
-
-
-def _vector(graph: MatchingGraph, edges) -> tuple[int, ...]:
-    u = [0] * graph.system.num_vars
-    solid = graph.solid_edges
-    for e in edges:
-        if e != DOTTED:
-            u[solid[e].var] += 1
-    return tuple(u)
 
 
 def render_walk(graph: MatchingGraph, walk: Walk) -> str:
@@ -374,18 +395,18 @@ def _band_canonical(graph, vertices, edges):
     return best
 
 
-def _extend(graph: MatchingGraph, verts, edges, fv, visit) -> None:
+def _extend(graph: MatchingGraph, verts, edges, fv, u, visit) -> None:
     """Grow an alternating walk from its end, depth first.
 
-    The walk steps to the dotted partner w of its end and calls visit(w)
-    there. It then goes on through every non-loop solid edge at w which
-    keeps both row counts in fv at most 2. verts, edges and fv are as they
-    were when this returns.
+    The walk, of packed vector u, steps to the dotted partner w of its end
+    and calls visit(w, u) there. It then goes on through every non-loop
+    solid edge at w which keeps both row counts in fv at most 2. verts,
+    edges and fv are as they were when this returns.
     """
     w = graph.partner(verts[-1])
     verts.append(w)
     edges.append(DOTTED)
-    visit(w)
+    visit(w, u)
     if fv.get(w, 0) < 2:
         for eid in graph.edges_at(w):
             e = graph.solid_edges[eid]
@@ -397,7 +418,7 @@ def _extend(graph: MatchingGraph, verts, edges, fv, visit) -> None:
                 fv[z] = fv.get(z, 0) + 1
                 verts.append(z)
                 edges.append(eid)
-                _extend(graph, verts, edges, fv, visit)
+                _extend(graph, verts, edges, fv, u + e.unit, visit)
                 edges.pop()
                 verts.pop()
                 fv[z] -= 1
@@ -419,24 +440,29 @@ def _walks(graph: MatchingGraph):
     edges, the first of them its smallest: so each band is offered from its
     smallest edge only, in either direction.
 
-    Returns (best, arms, h_walks). best maps each walk vector to its walk
-    with the smallest (edge count, canonical tokens); arms and h_walks map
+    Returns (best, arms, h_walks), all over packed vectors. best maps each
+    walk vector u to (edge count, u unpacked, walks): its shortest walks
+    offered, as (kind, vertices, edges), ties included. arms and h_walks map
     ends to sets of vectors.
     """
-    best: dict[tuple, tuple] = {}
+    nv = graph.system.num_vars
+    best: dict[int, tuple] = {}
     arms: dict[int, set] = {}
     h_walks: dict[tuple[int, int], set] = {}
 
-    def offer(kind, canonical):
-        key, (vv, ee) = canonical
-        u = _vector(graph, ee)
+    def offer(kind, u, verts, edges):
+        walk = (kind, tuple(verts), tuple(edges))
         cur = best.get(u)
         if cur is None:
+            vec = _unpack(u, nv)
             require(
-                is_member(graph.system, u), f"{kind} walk vector fails membership"
+                is_member(graph.system, vec), f"{kind} walk vector fails membership"
             )
-        if cur is None or (len(ee), key) < cur[0]:
-            best[u] = ((len(ee), key), Walk(kind, vv, ee))
+            best[u] = (len(edges), vec, [walk])
+        elif len(edges) < cur[0]:
+            best[u] = (len(edges), cur[1], [walk])
+        elif len(edges) == cur[0]:
+            cur[2].append(walk)
 
     for eid, e in enumerate(graph.solid_edges):
         if not e.is_loop:
@@ -444,46 +470,56 @@ def _walks(graph: MatchingGraph):
         v0 = e.ends[0]
         verts, edges, fv = [v0, v0], [eid], {v0: 1}
 
-        def visit(w):
-            arms.setdefault(verts[-2], set()).add(_vector(graph, edges))
+        def visit(w, u):
+            arms.setdefault(verts[-2], set()).add(u)
             if fv.get(w, 0) < 2:
                 for lid in graph.edges_at(w):
-                    if graph.solid_edges[lid].is_loop:
-                        walk = (verts + [w], edges + [lid])
-                        offer("string", _string_canonical(graph, *walk))
+                    loop = graph.solid_edges[lid]
+                    if loop.is_loop:
+                        offer("string", u + loop.unit, verts + [w], edges + [lid])
 
-        _extend(graph, verts, edges, fv, visit)
+        _extend(graph, verts, edges, fv, e.unit, visit)
 
     for x in range(1, 2 * graph.m + 1):
         verts, edges = [graph.partner(x)], []
 
-        def visit(w):
+        def visit(w, u):
             if len(edges) > 1:
-                h_walks.setdefault((x, verts[-2]), set()).add(_vector(graph, edges))
+                h_walks.setdefault((x, verts[-2]), set()).add(u)
             if w == x and len(edges) >= 5 and edges[1] == min(edges[1::2]):
-                walk = (tuple(verts[1:]), tuple(edges[1:]))
-                offer("band", _band_canonical(graph, *walk))
+                offer("band", u, verts[1:], edges[1:])
 
-        _extend(graph, verts, edges, {}, visit)
-    return {u: walk for u, (_, walk) in best.items()}, arms, h_walks
+        _extend(graph, verts, edges, {}, 0, visit)
+    return best, arms, h_walks
 
 
-def _decompose_first(vectors, rem, start, memo):
-    """One expression of rem as a sum of vectors[start:], by index.
+def _best_walk(graph: MatchingGraph, walks) -> Walk:
+    """Of walks of one length, as (kind, vertices, edges), the one of
+    smallest canonical tokens, in its canonical orientation."""
+    picks = []
+    for kind, vv, ee in walks:
+        canonical = _string_canonical if kind == "string" else _band_canonical
+        key, (cv, ce) = canonical(graph, vv, ee)
+        picks.append((key, kind, cv, ce))
+    _, kind, vv, ee = min(picks)
+    return Walk(kind, vv, ee)
 
-    memo caches each answer, None included, under (rem, start).
+
+def _decompose_first(vectors, guard, rem, start, memo):
+    """One expression of packed rem as a sum of vectors[start:], by index.
+
+    guard holds the guard bits of every field; memo caches each answer,
+    None included, under (rem, start).
     """
-    if not any(rem):
+    if not rem:
         return ()
     key = (rem, start)
     if key not in memo:
         out = None
         for i in range(start, len(vectors)):
             g = vectors[i]
-            if all(gi <= ri for gi, ri in zip(g, rem)):
-                sub = _decompose_first(
-                    vectors, tuple(map(operator.sub, rem, g)), i, memo
-                )
+            if ((rem | guard) - g) & guard == guard:
+                sub = _decompose_first(vectors, guard, rem - g, i, memo)
                 if sub is not None:
                     out = (i,) + sub
                     break
@@ -552,17 +588,20 @@ def generators(graph: MatchingGraph) -> list[Generator]:
 
 def _generators(graph: MatchingGraph, best: dict) -> list[Generator]:
     """The vectors of best with no split into smaller ones, each with its
-    walk, and a unit vector per free variable, named by (total, vector)."""
+    best walk, and a unit vector per free variable, named by (total, vector)."""
     # a split of u uses only vectors of smaller total; by descending total
     # these are the suffix after the last vector of total at least sum(u)
-    vecs = sorted(best, key=sum, reverse=True)
-    neg_totals = [-sum(v) for v in vecs]
+    totals = {u: sum(vec) for u, (_, vec, _) in best.items()}
+    vecs = sorted(best, key=totals.__getitem__, reverse=True)
+    neg_totals = [-totals[u] for u in vecs]
+    guard = _guard(graph.system.num_vars)
     memo: dict[tuple, Optional[tuple]] = {}
     items = []
-    for u, w in best.items():
-        start = bisect.bisect_right(neg_totals, -sum(u))
-        if _decompose_first(vecs, u, start, memo) is None:
-            items.append((u, w.kind, render_walk(graph, w)))
+    for u, (_, vec, walks) in best.items():
+        start = bisect.bisect_right(neg_totals, -totals[u])
+        if _decompose_first(vecs, guard, u, start, memo) is None:
+            w = _best_walk(graph, walks)
+            items.append((vec, w.kind, render_walk(graph, w)))
     nv = graph.system.num_vars
     for j in graph.free_vars:
         u = tuple(1 if i == j else 0 for i in range(nv))
@@ -572,10 +611,6 @@ def _generators(graph: MatchingGraph, best: dict) -> list[Generator]:
         Generator(name=f"g{i + 1}", vector=u, kind=k, walk=r)
         for i, (u, k, r) in enumerate(items)
     ]
-
-
-def _vadd(a, b):
-    return tuple(map(operator.add, a, b))
 
 
 def _msort(seq):
@@ -664,7 +699,8 @@ class _Congruence:
 def _swap_candidates(dec, left, right, provenance, cands):
     """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
 
-    p1 < p2 run over left and q1 < q2 over right. Each side decomposition
+    p1 < p2 run over left and q1 < q2 over right, all packed vectors, so
+    p + q is one int add. Each side decomposition
     dec(p + q) is computed once per pair and read from a table, beside its
     generator counts packed into one int c(p, q), one base-2^w digit per
     generator. With 2^(w-1) > 2M, M the longest decomposition, every digit
@@ -677,7 +713,7 @@ def _swap_candidates(dec, left, right, provenance, cands):
     """
     if len(left) < 2 or len(right) < 2:
         return
-    table = [[dec(_vadd(p, q)) for q in right] for p in left]
+    table = [[dec(p + q) for q in right] for p in left]
     w = (2 * max(len(d) for row in table for d in row)).bit_length() + 1
     packed = [[sum(1 << (w * i) for i in d) for d in row] for row in table]
     seen = set()
@@ -730,20 +766,21 @@ def _h_candidates(graph, h_walks, dec):
 
 
 def _decomposer(gens: list[Generator]):
-    """dec(target): target as a sum of non-free generators, by generator index.
+    """dec(target): packed target as a sum of non-free generators, by index.
 
     Each target is decomposed once and then read from a local cache. Every
     target shares one memo of _decompose_first sub-results, so a remainder
     met under one target is not searched again under another.
     """
     searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
-    svecs = [gens[i].vector for i in searchable]
-    cache: dict[tuple, tuple] = {}
+    svecs = [_pack(gens[i].vector) for i in searchable]
+    guard = _guard(len(gens[0].vector)) if gens else 0
+    cache: dict[int, tuple] = {}
     memo: dict[tuple, Optional[tuple]] = {}
 
     def dec(target):
         if target not in cache:
-            local = _decompose_first(svecs, target, 0, memo)
+            local = _decompose_first(svecs, guard, target, 0, memo)
             require(
                 local is not None,
                 "configuration side does not decompose into generators",

@@ -30,19 +30,23 @@ from reference import (
     toric_relations_bruteforce,
 )
 from gentle_si import matching, oracle
-from gentle_si.errors import InputError, require
+from gentle_si.errors import InputError, InvariantError, require
 from gentle_si.matching import (
     DOTTED,
+    FIELD,
     MatchingGraph,
     Walk,
     _band_canonical,
     _band_orientations,
+    _best_walk,
     _decomposer,
     _generators,
+    _guard,
     _h_candidates,
+    _pack,
     _prune,
     _tokens,
-    _vector,
+    _unpack,
     _walks,
     _x_candidates,
     build_graph,
@@ -135,7 +139,7 @@ def test_closing_walk_vectors_match_oracle_freeze():
 
 def test_eleven_walks_contain_w1_w2():
     g = build_graph(eleven_var_system())
-    best, _, _ = _walks(g)
+    best = _best_walks(g)
     assert ELEVEN_W1 in best
     assert best[ELEVEN_W1].kind == "band"
     assert ELEVEN_W2 in best
@@ -327,6 +331,79 @@ def test_membership_rejects_wrong_length():
         is_member(closing_system(), (0, 0))
 
 
+@pytest.mark.parametrize("x", [True, 1.0, "a", None])
+def test_membership_rejects_entries_that_are_not_ints(x):
+    """x = y: (True, 1.0) solved it, 'a' raised ValueError, None TypeError."""
+    with pytest.raises(InputError):
+        is_member(make_system([(["x"], ["y"])]), (x, 1))
+
+
+@pytest.mark.parametrize("c", [0.5, "1", 1.0, True])
+def test_coefficients_that_are_not_ints_are_rejected(c):
+    """int(c) made each of these a valid 0 or 1 before."""
+    with pytest.raises(InputError):
+        matching.system_from_rows([[0, c, 0], [1, 0, 1]])
+    sys_ = matching.MatchingSystem(1, ("x", "y", "z"), ((0, c, 0), (1, 0, 1)))
+    assert [kind for kind, _ in matching.validate_system(sys_).violations] == [
+        "coeff"
+    ]
+
+
+FIELD_TOP = (1 << (FIELD - 1)) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=FIELD_TOP),
+                st.integers(min_value=0, max_value=FIELD_TOP),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_packed_vectors_round_trip_compare_and_subtract(pairs):
+    a, b = (tuple(v) for v in zip(*pairs))
+    n = len(a)
+    pa, pb = _pack(a), _pack(b)
+    assert _unpack(pa, n) == a
+    guard = _guard(n)
+    below = all(y <= x for x, y in zip(a, b))
+    assert (((pa | guard) - pb) & guard == guard) == below
+    if below:
+        assert pa - pb == _pack(tuple(x - y for x, y in zip(a, b)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=FIELD_TOP), min_size=1, max_size=8),
+    st.integers(min_value=0),
+    st.one_of(st.integers(max_value=-1), st.integers(min_value=FIELD_TOP + 1)),
+)
+def test_pack_rejects_entries_outside_the_field(u, at, bad):
+    u[at % len(u)] = bad
+    with pytest.raises(InvariantError):
+        _pack(u)
+
+
+def test_walk_vectors_fit_the_packed_fields():
+    """Walk entries are at most 2, so the X/H side sums p + q that the
+    decomposer packs are at most 4 < 2**(FIELD - 1)."""
+    rng = random.Random(2002)
+    top = 0
+    for _ in range(2000):
+        sys_ = oracle.random_matching_system(rng, max_m=6, max_l=12)
+        best, arms, h_walks = _walks(build_graph(sys_))
+        n = sys_.num_vars
+        for u in itertools.chain(best, *arms.values(), *h_walks.values()):
+            top = max(top, *_unpack(u, n))
+    assert top <= 2
+    assert 2 * top < 1 << (FIELD - 1)
+
+
 def test_presentation_as_dict_shape(running_pres):
     d = running_pres.as_dict()
     assert set(d) == {
@@ -417,9 +494,8 @@ def test_random_walks_are_members(seed):
     rng = random.Random(seed)
     sys_ = oracle.random_matching_system(rng, max_m=4, max_l=8)
     g = build_graph(sys_)
-    best, _, _ = _walks(g)
-    for u, w in best.items():
-        assert _vector(g, w.edges) == u
+    for u, w in _best_walks(g).items():
+        assert _reference_vector(g, w.edges) == u
         assert is_member(sys_, u)
 
 
@@ -564,13 +640,24 @@ def _quadruple_swap_candidates(dec, left, right, provenance, cands):
     """One cancelled relation per arm quadruple p1 < p2, q1 < q2."""
     if len(left) < 2 or len(right) < 2:
         return
-    table = [[dec(tuple(x + y for x, y in zip(p, q))) for q in right] for p in left]
+    table = [[dec(p + q) for q in right] for p in left]
     cols = list(itertools.combinations(range(len(right)), 2))
     for r1, r2 in itertools.combinations(table, 2):
         for j1, j2 in cols:
             rel = _cancel_orient(r1[j1] + r2[j2], r1[j2] + r2[j1])
             if rel is not None:
                 cands.append((rel, provenance))
+
+
+def _best_walks(graph):
+    """Each walk vector of the walk passes, unpacked, with its best walk."""
+    best, _, _ = _walks(graph)
+    n = graph.system.num_vars
+    return {_unpack(u, n): _best_walk(graph, ws) for u, (_, _, ws) in best.items()}
+
+
+def _unpacked(by_end, n):
+    return {end: {_unpack(u, n) for u in us} for end, us in by_end.items()}
 
 
 def _reference_vector(graph, edges):
@@ -692,8 +779,10 @@ def test_candidates_and_bands_match_references(monkeypatch):
     included."""
     for sys_ in _reference_systems():
         graph = build_graph(sys_)
-        best, arms, h_walks = _walks(graph)
-        assert (arms, h_walks) == _arms_and_h_walks(graph)
+        packed, arms, h_walks = _walks(graph)
+        n = sys_.num_vars
+        assert (_unpacked(arms, n), _unpacked(h_walks, n)) == _arms_and_h_walks(graph)
+        best = _best_walks(graph)
         closures = {}
         for key, band in _bands_from_every_closure(graph).items():
             u = _reference_vector(graph, band.edges)
@@ -707,7 +796,7 @@ def test_candidates_and_bands_match_references(monkeypatch):
                 assert w == band
             else:
                 assert (len(w.edges), _tokens(graph, w.vertices, w.edges)) < rank
-        gens = _generators(graph, best)
+        gens = _generators(graph, packed)
         got = _distinct_candidates(graph, gens)
         with monkeypatch.context() as m:
             m.setattr(matching, "_swap_candidates", _quadruple_swap_candidates)
@@ -736,9 +825,10 @@ def test_closing_candidate_step_forms_few_relations(monkeypatch):
 def test_swap_candidates_keep_counts_apart_in_packed_keys():
     """Row differences (g1, g1) - (g2) and (g2) - (g1, g1, g2) differ, but
     both pack to -8 in base 4; the base must leave room for every signed
-    count, or the one relation between the rows is never formed."""
-    dec = {(0,): (1, 1), (1,): (2,), (20,): (2,), (21,): (1, 1, 2)}.__getitem__
-    left, right = [(0,), (20,)], [(0,), (1,)]
+    count, or the one relation between the rows is never formed. The walk
+    vectors are packed: 20 is (4, 1) and 1 is (1, 0)."""
+    dec = {0: (1, 1), 1: (2,), 20: (2,), 21: (1, 1, 2)}.__getitem__
+    left, right = [0, 20], [0, 1]
     got, want = [], []
     matching._swap_candidates(dec, left, right, "p", got)
     _quadruple_swap_candidates(dec, left, right, "p", want)
@@ -746,18 +836,22 @@ def test_swap_candidates_keep_counts_apart_in_packed_keys():
 
 
 def test_closing_bands_canonicalise_few_closures(monkeypatch):
-    """Each band is canonicalised from its smallest solid edge only (120 calls
-    when every closure from every edge was). Its 14 bands have 13 vectors."""
+    """One closing presentation canonicalises only the shortest walks of its
+    8 generators: 8 strings and 8 bands (80 when every walk offered was, 48
+    strings and 32 bands; 120 band calls when every closure from every edge
+    was). Its 14 bands have 13 vectors."""
+    graph = build_graph(closing_system())
+    assert sum(w.kind == "band" for w in _best_walks(graph).values()) == 13
     calls = []
+    for name in ("_string_canonical", "_band_canonical"):
 
-    def counted(*args):
-        calls.append(args)
-        return _band_canonical(*args)
+        def counted(*args, name=name, canonical=getattr(matching, name)):
+            calls.append(name)
+            return canonical(*args)
 
-    monkeypatch.setattr(matching, "_band_canonical", counted)
-    best, _, _ = _walks(build_graph(closing_system()))
-    assert sum(w.kind == "band" for w in best.values()) == 13
-    assert len(calls) <= 40
+        monkeypatch.setattr(matching, name, counted)
+    presentation(closing_system())
+    assert sorted(calls) == ["_band_canonical"] * 8 + ["_string_canonical"] * 8
 
 
 def test_closing_presentation_starts_twelve_walks(monkeypatch):
