@@ -86,7 +86,9 @@ class ModelFile:
 # ---------------------------------------------------------------------------
 # model parsing
 
-_EQ_RE = re.compile(r"^eq\s+(\d+)\s*:\s*(.*)$")
+# ASCII digits only: int() and \d also take "1_0", "+2" and other scripts' digits
+_EQ_RE = re.compile(r"^eq\s+([0-9]+)\s*:\s*(.*)$")
+_NONNEG_RE = re.compile(r"[0-9]+")
 
 
 def _fail(lineno: int, msg: str) -> None:
@@ -94,13 +96,9 @@ def _fail(lineno: int, msg: str) -> None:
 
 
 def _nonneg(tok: str, lineno: int, what: str) -> int:
-    try:
-        n = int(tok)
-    except ValueError:
-        n = -1
-    if n < 0:
+    if not _NONNEG_RE.fullmatch(tok):
         _fail(lineno, f"{what} must be a nonnegative integer, got {tok!r}")
-    return n
+    return int(tok)
 
 
 def parse_model(text: str) -> ModelFile:

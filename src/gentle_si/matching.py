@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ValidationReport, require
@@ -41,6 +43,11 @@ class MatchingSystem:
 
     def row_support(self, row: int) -> tuple[int, ...]:
         return tuple(j for j, cj in enumerate(self.rows[row]) if cj)
+
+    @cached_property
+    def row_supports(self) -> tuple[tuple[int, ...], ...]:
+        """row_support of every row, computed on first use."""
+        return tuple(self.row_support(i) for i in range(2 * self.m))
 
     def fvalue(self, row: int, u: Sequence[int]) -> int:
         return sum(cj * uj for cj, uj in zip(self.rows[row], u))
@@ -179,12 +186,14 @@ def is_member(sys_: MatchingSystem, u: Sequence[int]) -> bool:
         raise InputError(
             f"vector length {len(u)} does not match {sys_.num_vars} variables"
         )
-    if any(type(x) is not int for x in u):
+    if not {int}.issuperset(map(type, u)):
         raise InputError("membership is defined for integer vectors")
-    if any(x < 0 for x in u):
+    if min(u, default=0) < 0:
         return False
+    supports, m, entry = sys_.row_supports, sys_.m, u.__getitem__
     return all(
-        sys_.fvalue(k, u) == sys_.fvalue(sys_.m + k, u) for k in range(sys_.m)
+        sum(map(entry, supports[k])) == sum(map(entry, supports[m + k]))
+        for k in range(m)
     )
 
 
@@ -247,13 +256,20 @@ class MatchingGraph:
     k+1+m. Zero columns are free variables. Presolve marks columns that every
     solution sends to zero (an empty equation side forces the other side, and
     the forcing cascades); their edges are dropped.
+
+    The walk passes read the step table, indexed by vertex (entry 0 unused):
+    partners[v] is partner(v), steps[v] holds (edge id, far end, unit) for
+    each non-loop solid edge at v and loops[v] holds (edge id, unit) for
+    each loop at v, both in edge id order.
     """
 
     system: MatchingSystem
     solid_edges: tuple[SolidEdge, ...]
     free_vars: tuple[int, ...]
     forced_zero: tuple[int, ...]
-    _at: dict = field(repr=False, default_factory=dict)
+    partners: tuple[int, ...] = field(repr=False)
+    steps: tuple[tuple[tuple[int, int, int], ...], ...] = field(repr=False)
+    loops: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -263,7 +279,9 @@ class MatchingGraph:
         return v + self.m if v <= self.m else v - self.m
 
     def edges_at(self, v: int) -> tuple[int, ...]:
-        return self._at.get(v, ())
+        """The ids of the solid edges at v, in increasing order, read off
+        solid_edges independently of the step table."""
+        return tuple(eid for eid, e in enumerate(self.solid_edges) if v in e.ends)
 
     def dotted_edges(self) -> list[tuple[int, int]]:
         return [(k + 1, k + 1 + self.m) for k in range(self.m)]
@@ -308,16 +326,24 @@ def build_graph(sys_: MatchingSystem) -> MatchingGraph:
                 "solid edge would close an alternating two-cycle",
             )
         edges.append(SolidEdge(var=j, ends=verts, unit=1 << (FIELD * j)))
-    at: dict[int, list[int]] = {}
+    nv = 2 * sys_.m + 1
+    steps: list[list] = [[] for _ in range(nv)]
+    loops: list[list] = [[] for _ in range(nv)]
     for eid, e in enumerate(edges):
-        for v in set(e.ends):
-            at.setdefault(v, []).append(eid)
+        if e.is_loop:
+            loops[e.ends[0]].append((eid, e.unit))
+        else:
+            p, q = e.ends
+            steps[p].append((eid, q, e.unit))
+            steps[q].append((eid, p, e.unit))
     return MatchingGraph(
         system=sys_,
         solid_edges=tuple(edges),
         free_vars=tuple(free),
         forced_zero=tuple(sorted(forced)),
-        _at={v: tuple(sorted(ids)) for v, ids in at.items()},
+        partners=(0, *range(sys_.m + 1, nv), *range(1, sys_.m + 1)),
+        steps=tuple(map(tuple, steps)),
+        loops=tuple(map(tuple, loops)),
     )
 
 
@@ -400,25 +426,22 @@ def _extend(graph: MatchingGraph, verts, edges, fv, u, visit) -> None:
 
     The walk, of packed vector u, steps to the dotted partner w of its end
     and calls visit(w, u) there. It then goes on through every non-loop
-    solid edge at w which keeps both row counts in fv at most 2. verts,
-    edges and fv are as they were when this returns.
+    solid edge at w which keeps both row counts in fv, a list indexed by
+    vertex, at most 2. verts, edges and fv are as they were when this
+    returns.
     """
-    w = graph.partner(verts[-1])
+    w = graph.partners[verts[-1]]
     verts.append(w)
     edges.append(DOTTED)
     visit(w, u)
-    if fv.get(w, 0) < 2:
-        for eid in graph.edges_at(w):
-            e = graph.solid_edges[eid]
-            if e.is_loop:
-                continue
-            z = e.other(w)
-            if fv.get(z, 0) < 2:
-                fv[w] = fv.get(w, 0) + 1
-                fv[z] = fv.get(z, 0) + 1
+    if fv[w] < 2:
+        for eid, z, unit in graph.steps[w]:
+            if fv[z] < 2:
+                fv[w] += 1
+                fv[z] += 1
                 verts.append(z)
                 edges.append(eid)
-                _extend(graph, verts, edges, fv, u + e.unit, visit)
+                _extend(graph, verts, edges, fv, u + unit, visit)
                 edges.pop()
                 verts.pop()
                 fv[z] -= 1
@@ -446,6 +469,7 @@ def _walks(graph: MatchingGraph):
     ends to sets of vectors.
     """
     nv = graph.system.num_vars
+    loops = graph.loops
     best: dict[int, tuple] = {}
     arms: dict[int, set] = {}
     h_walks: dict[tuple[int, int], set] = {}
@@ -468,20 +492,19 @@ def _walks(graph: MatchingGraph):
         if not e.is_loop:
             continue
         v0 = e.ends[0]
-        verts, edges, fv = [v0, v0], [eid], {v0: 1}
+        verts, edges, fv = [v0, v0], [eid], [0] * len(loops)
+        fv[v0] = 1
 
         def visit(w, u):
             arms.setdefault(verts[-2], set()).add(u)
-            if fv.get(w, 0) < 2:
-                for lid in graph.edges_at(w):
-                    loop = graph.solid_edges[lid]
-                    if loop.is_loop:
-                        offer("string", u + loop.unit, verts + [w], edges + [lid])
+            if fv[w] < 2:
+                for lid, unit in loops[w]:
+                    offer("string", u + unit, verts + [w], edges + [lid])
 
         _extend(graph, verts, edges, fv, e.unit, visit)
 
     for x in range(1, 2 * graph.m + 1):
-        verts, edges = [graph.partner(x)], []
+        verts, edges = [graph.partners[x]], []
 
         def visit(w, u):
             if len(edges) > 1:
@@ -489,7 +512,7 @@ def _walks(graph: MatchingGraph):
             if w == x and len(edges) >= 5 and edges[1] == min(edges[1::2]):
                 offer("band", u, verts[1:], edges[1:])
 
-        _extend(graph, verts, edges, {}, 0, visit)
+        _extend(graph, verts, edges, [0] * len(loops), 0, visit)
     return best, arms, h_walks
 
 
@@ -625,18 +648,6 @@ def _side_vector(vectors, side, n):
     return tuple(u)
 
 
-def _cancel(lhs, rhs):
-    """The tuples lhs and rhs less their common multiset part, order kept."""
-    if set(lhs).isdisjoint(rhs):
-        return lhs, rhs
-    la, rb = list(lhs), list(rhs)
-    for x in lhs:
-        if x in rb:
-            la.remove(x)
-            rb.remove(x)
-    return tuple(la), tuple(rb)
-
-
 def _contains(state, sub):
     pool = list(state)
     for x in sub:
@@ -696,99 +707,130 @@ class _Congruence:
         return False
 
 
-def _swap_candidates(dec, left, right, provenance, cands):
+def _count_width(walk_total: int) -> int:
+    """The digit width w of packed generator counts for X/H sides p + q
+    of walks p, q of total at most walk_total.
+
+    Every non-free generator has total at least 2, so a side p + q
+    decomposes into M <= total(p + q) / 2 <= walk_total generators. A
+    relation's signed counts r = c(p1,q1) - c(p1,q2) - c(p2,q1) + c(p2,q2)
+    then have digits in [-2M, 2M], which read back as signed base-2^w
+    digits since 2^(w-1) > 2 * walk_total >= 2M.
+    """
+    return (2 * walk_total).bit_length() + 1
+
+
+class _SideCounts(dict):
+    """Packed target -> its generator counts as a sum of non-free
+    generators, packed into one int, one base-2^width digit per generator
+    index.
+
+    A missing target is decomposed and packed on its first lookup and then
+    read from the dict. Every target shares one memo of _decompose_first
+    sub-results, so a remainder met under one target is not searched again
+    under another.
+    """
+
+    __slots__ = ("width", "_vectors", "_units", "_guard", "_memo")
+
+    def __init__(self, gens: list[Generator], width: int):
+        self.width = width
+        searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
+        self._vectors = [_pack(gens[i].vector) for i in searchable]
+        self._units = [1 << (width * i) for i in searchable]
+        self._guard = _guard(len(gens[0].vector)) if gens else 0
+        self._memo: dict[tuple, Optional[tuple]] = {}
+
+    def __missing__(self, target: int) -> int:
+        local = _decompose_first(self._vectors, self._guard, target, 0, self._memo)
+        require(
+            local is not None,
+            "configuration side does not decompose into generators",
+        )
+        require(
+            1 << (self.width - 1) > 2 * len(local),
+            "a decomposition overflows the signed count digits",
+        )
+        counts = self[target] = sum([self._units[i] for i in local])
+        return counts
+
+
+def _signed_relation(r: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The relation whose sides count each generator index i by the
+    positive and by the negative signed base-2^w digit i of r, smaller side
+    first."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    pos: list[int] = []
+    neg: list[int] = []
+    while r:
+        i = ((r & -r).bit_length() - 1) // w  # lowest nonzero digit
+        d = (r >> (w * i)) & mask
+        if d >= half:
+            d -= 1 << w
+        r -= d << (w * i)
+        (pos if d > 0 else neg).extend([i] * abs(d))
+    require(bool(pos) and bool(neg), "relation with an empty side")
+    a, b = tuple(pos), tuple(neg)
+    return (b, a) if (len(b), b) < (len(a), a) else (a, b)
+
+
+def _swap_candidates(counts, left, right, provenance, cands):
     """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
 
-    p1 < p2 run over left and q1 < q2 over right, all packed vectors, so
-    p + q is one int add. Each side decomposition
-    dec(p + q) is computed once per pair and read from a table, beside its
-    generator counts packed into one int c(p, q), one base-2^w digit per
-    generator. With 2^(w-1) > 2M, M the longest decomposition, every digit
-    of r = c(p1,q1) - c(p1,q2) - c(p2,q1) + c(p2,q2) is a signed count, so
-    r is the relation's signed generator counts: r = 0 is a trivial swap and
-    -r is the same relation with its sides swapped. For fixed q1, q2,
-    r = d(p1) - d(p2) with d(p) = c(p,q1) - c(p,q2), so only rows with
-    distinct differences are paired, and each relation is formed once, by
-    cancelling the first quadruple that gives its r or -r.
+    p1, p2 run over left and q1, q2 over right, all packed vectors, so
+    p + q is one int add, and c(p, q) = counts[p + q] is the packed
+    generator count of its decomposition dec(p + q). Every digit of
+    r = c(p1,q1) - c(p1,q2) - c(p2,q1) + c(p2,q2) is a signed count (see
+    _count_width), so r is the relation's signed generator counts: -r is
+    the same relation with its sides swapped. r is symmetric in left and
+    right, so the pairs are taken on the shorter side. For a fixed pair
+    q1, q2, r = d(p1) - d(p2) with d(p) = c(p,q1) - c(p,q2), so only
+    distinct differences are paired, and each relation is formed once per
+    call, from the first r or -r met.
     """
     if len(left) < 2 or len(right) < 2:
         return
-    table = [[dec(p + q) for q in right] for p in left]
-    w = (2 * max(len(d) for row in table for d in row)).bit_length() + 1
-    packed = [[sum(1 << (w * i) for i in d) for d in row] for row in table]
+    if len(left) < len(right):
+        left, right = right, left
+    cols = [[counts[p + q] for p in left] for q in right]
     seen = set()
-    for j1, j2 in itertools.combinations(range(len(right)), 2):
-        first = {}
-        for i, row in enumerate(packed):
-            first.setdefault(row[j1] - row[j2], i)
-        for (d1, i1), (d2, i2) in itertools.combinations(first.items(), 2):
+    for c1, c2 in itertools.combinations(cols, 2):
+        diffs = set(map(operator.sub, c1, c2))
+        for d1, d2 in itertools.combinations(diffs, 2):
             r = d1 - d2
             if r in seen or -r in seen:
                 continue
             seen.add(r)
-            a, b = _cancel(
-                table[i1][j1] + table[i2][j2], table[i1][j2] + table[i2][j1]
-            )
-            require(bool(a) and bool(b), "relation with an empty side")
-            a, b = _msort(a), _msort(b)
-            if (len(b), b) < (len(a), a):
-                a, b = b, a
-            cands.append(((a, b), provenance))
+            cands.append((_signed_relation(r, counts.width), provenance))
 
 
-def _x_candidates(graph, arms, dec):
+def _x_candidates(graph, arms, counts):
     cands = []
     for v, w in graph.dotted_edges():
         _swap_candidates(
-            dec,
-            sorted(arms.get(v, ())),
-            sorted(arms.get(w, ())),
+            counts,
+            arms.get(v, ()),
+            arms.get(w, ()),
             "X-configuration({%d,%d})" % (v, w),
             cands,
         )
     return cands
 
 
-def _h_candidates(graph, h_walks, dec):
+def _h_candidates(graph, h_walks, counts):
     cands = []
     dotted = graph.dotted_edges()
     for (v, vbar), (w, wbar) in itertools.combinations(dotted, 2):
         provenance = "H-configuration({%d,%d},{%d,%d})" % (v, vbar, w, wbar)
         for aend, bend in ((w, wbar), (wbar, w)):
             _swap_candidates(
-                dec,
-                sorted(h_walks.get((v, aend), ())),
-                sorted(h_walks.get((vbar, bend), ())),
+                counts,
+                h_walks.get((v, aend), ()),
+                h_walks.get((vbar, bend), ()),
                 provenance,
                 cands,
             )
     return cands
-
-
-def _decomposer(gens: list[Generator]):
-    """dec(target): packed target as a sum of non-free generators, by index.
-
-    Each target is decomposed once and then read from a local cache. Every
-    target shares one memo of _decompose_first sub-results, so a remainder
-    met under one target is not searched again under another.
-    """
-    searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
-    svecs = [_pack(gens[i].vector) for i in searchable]
-    guard = _guard(len(gens[0].vector)) if gens else 0
-    cache: dict[int, tuple] = {}
-    memo: dict[tuple, Optional[tuple]] = {}
-
-    def dec(target):
-        if target not in cache:
-            local = _decompose_first(svecs, guard, target, 0, memo)
-            require(
-                local is not None,
-                "configuration side does not decompose into generators",
-            )
-            cache[target] = tuple(searchable[i] for i in local)
-        return cache[target]
-
-    return dec
 
 
 def _prune(
@@ -847,8 +889,13 @@ def presentation(sys_: MatchingSystem) -> Presentation:
     graph = build_graph(sys_)
     best, arms, h_walks = _walks(graph)
     gens = _generators(graph, best)
-    dec = _decomposer(gens)
-    cands = _x_candidates(graph, arms, dec) + _h_candidates(graph, h_walks, dec)
+    # each solid step of a walk raises two row counts, or one for an X
+    # arm's first loop, and every row count stays at most 2: so an X arm or
+    # an H walk has total at most 2m
+    counts = _SideCounts(gens, _count_width(2 * sys_.m))
+    cands = _x_candidates(graph, arms, counts) + _h_candidates(
+        graph, h_walks, counts
+    )
     relations, sums = _prune(cands, gens, sys_.num_vars)
     cap = max([RELATION_CAP_FLOOR] + [max(sys_.fprofile(u), default=0) for u in sums])
     return Presentation(

@@ -119,6 +119,11 @@ def test_parse_comments_and_blanks():
         ("eq 1: x = y\neq 1: y = x\n", "line 2: duplicate equation"),
         ("vertex 1\nbeta 1 -2\n", "nonnegative integer"),
         ("vertex 1\nbeta 1 two\n", "nonnegative integer"),
+        ("vertex 1\nbeta 1 1_0\n", "line 2: dimension must be a nonnegative"),
+        ("vertex 1\nbeta 1 \u0663\n", "line 2: dimension must be a nonnegative"),
+        ("vertex 1\nbeta 1 +2\n", "line 2: dimension must be a nonnegative"),
+        ("vertex 1\narrow a 1 1\nrank a \u0663\n", "line 3: rank must be"),
+        ("eq \u0661: x = y\n", "line 1: expected: eq"),
         ("vertex 1\nvertex 2\narrow a 1 3\n", "line 3: unknown vertex 3"),
         ("vertex 1\nvertex 2\narrow a 1 2\nrel a b\n", "line 4: unknown arrow b"),
         ("vertex 1\nbeta 9 1\n", "line 2: unknown vertex 9"),
@@ -540,6 +545,33 @@ def test_bad_dimension_or_rank_exits_1(capsys, tmp_path, line):
     code, out, err = run_cli(capsys, "presentation", path, "--json")
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["beta 2 1_0", "beta 2 \u0663", "beta 2 +2", "rank a \u0663", "eq \u0661: x = y"],
+)
+def test_numbers_outside_ascii_digits_exit_1(capsys, tmp_path, line):
+    """int() read "1_0" as 10, "+2" as 2 and an Arabic-Indic three as 3, and
+    \\d took an Arabic-Indic one as equation 1; each is an input error naming
+    its line, in text and in JSON."""
+    path = tmp_path / "bad.model"
+    if line.startswith("eq"):
+        path.write_text(line + "\n", encoding="utf-8")
+        lineno = 1
+    else:
+        text = "vertex 1\nvertex 2\narrow a 1 2 color s\nbeta 1 2\n" + line + "\n"
+        path.write_text(text, encoding="utf-8")
+        lineno = 5
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line {lineno}: ")
+    code, out, err = run_cli(capsys, "validate", path, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "input"
+    assert payload["error"]["message"].startswith(f"line {lineno}: ")
+    jsonschema.validate(payload, load_schema())
 
 
 def test_invariant_error_maps_to_exit_2(capsys, monkeypatch):

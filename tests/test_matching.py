@@ -39,12 +39,13 @@ from gentle_si.matching import (
     _band_canonical,
     _band_orientations,
     _best_walk,
-    _decomposer,
+    _count_width,
     _generators,
     _guard,
     _h_candidates,
     _pack,
     _prune,
+    _SideCounts,
     _tokens,
     _unpack,
     _walks,
@@ -257,15 +258,32 @@ def test_generator_entries_and_fvalues_capped_at_two(
             assert max(p.system.fprofile(g.vector), default=0) <= 2
 
 
+def _side_counts(sys_, gens):
+    """The side counts presentation uses: one digit width per system."""
+    return _SideCounts(gens, _count_width(2 * sys_.m))
+
+
+def _decoded(c, w):
+    """The generator indices of packed counts c, one base-2^w digit each,
+    with repetition, in increasing order."""
+    out = []
+    i = 0
+    while c:
+        out += [i] * (c & ((1 << w) - 1))
+        c >>= w
+        i += 1
+    return tuple(out)
+
+
 def _pruned(sys_):
     """The relations the X and the H candidates each keep on their own, and
     the generators."""
     g = build_graph(sys_)
     best, arms, h_walks = _walks(g)
     gens = _generators(g, best)
-    dec = _decomposer(gens)
-    xrels, _ = _prune(_x_candidates(g, arms, dec), gens, sys_.num_vars)
-    hrels, _ = _prune(_h_candidates(g, h_walks, dec), gens, sys_.num_vars)
+    counts = _side_counts(sys_, gens)
+    xrels, _ = _prune(_x_candidates(g, arms, counts), gens, sys_.num_vars)
+    hrels, _ = _prune(_h_candidates(g, h_walks, counts), gens, sys_.num_vars)
     return xrels, hrels, gens
 
 
@@ -636,11 +654,13 @@ def _cancel_orient(lhs, rhs):
     return (a, b)
 
 
-def _quadruple_swap_candidates(dec, left, right, provenance, cands):
-    """One cancelled relation per arm quadruple p1 < p2, q1 < q2."""
+def _quadruple_swap_candidates(counts, left, right, provenance, cands):
+    """One cancelled relation per arm quadruple p1 < p2, q1 < q2, from the
+    decompositions that the packed side counts hold."""
     if len(left) < 2 or len(right) < 2:
         return
-    table = [[dec(p + q) for q in right] for p in left]
+    left, right = sorted(left), sorted(right)
+    table = [[_decoded(counts[p + q], counts.width) for q in right] for p in left]
     cols = list(itertools.combinations(range(len(right)), 2))
     for r1, r2 in itertools.combinations(table, 2):
         for j1, j2 in cols:
@@ -762,9 +782,9 @@ def _reference_systems():
 def _distinct_candidates(graph, gens):
     """Each distinct X/H candidate relation with the provenance it is first
     formed with; the pruning step orders exactly these."""
-    dec = _decomposer(gens)
+    counts = _side_counts(graph.system, gens)
     _, arms, h_walks = _walks(graph)
-    cands = _x_candidates(graph, arms, dec) + _h_candidates(graph, h_walks, dec)
+    cands = _x_candidates(graph, arms, counts) + _h_candidates(graph, h_walks, counts)
     first = {}
     for rel, prov in cands:
         first.setdefault(rel, prov)
@@ -811,27 +831,36 @@ def test_closing_candidate_step_forms_few_relations(monkeypatch):
     formed = []
     swap = matching._swap_candidates
 
-    def counted(dec, left, right, provenance, cands):
+    def counted(counts, left, right, provenance, cands):
         before = len(cands)
-        swap(dec, left, right, provenance, cands)
+        swap(counts, left, right, provenance, cands)
         formed.append(len(cands) - before)
 
     monkeypatch.setattr(matching, "_swap_candidates", counted)
     graph = build_graph(closing_system())
     _distinct_candidates(graph, generators(graph))
-    assert 0 < sum(formed) <= 60
+    assert sum(formed) == 45
 
 
 def test_swap_candidates_keep_counts_apart_in_packed_keys():
     """Row differences (g1, g1) - (g2) and (g2) - (g1, g1, g2) differ, but
     both pack to -8 in base 4; the base must leave room for every signed
     count, or the one relation between the rows is never formed. The walk
-    vectors are packed: 20 is (4, 1) and 1 is (1, 0)."""
-    dec = {0: (1, 1), 1: (2,), 20: (2,), 21: (1, 1, 2)}.__getitem__
+    vectors are packed: 20 is (4, 1) and 1 is (1, 0). The longest side has
+    3 generators, so walks of total 3 bound it."""
+    sides = {0: (1, 1), 1: (2,), 20: (2,), 21: (1, 1, 2)}
+
+    def packed(w):
+        return {t: sum(1 << (w * i) for i in d) for t, d in sides.items()}
+
+    narrow = packed(2)
+    assert narrow[0] - narrow[1] == narrow[20] - narrow[21] == -8
+    counts = _SideCounts([], _count_width(3))
+    counts.update(packed(counts.width))
     left, right = [0, 20], [0, 1]
     got, want = [], []
-    matching._swap_candidates(dec, left, right, "p", got)
-    _quadruple_swap_candidates(dec, left, right, "p", want)
+    matching._swap_candidates(counts, left, right, "p", got)
+    _quadruple_swap_candidates(counts, left, right, "p", want)
     assert got == want == [(((2,), (1, 1, 1, 1)), "p")]
 
 
@@ -872,3 +901,116 @@ def test_closing_presentation_starts_twelve_walks(monkeypatch):
     monkeypatch.setattr(matching, "_extend", counted)
     presentation(closing_system())
     assert starts == [12]
+
+
+# ---------------------------------------------------------------------------
+# the step table, the count width and the membership check
+
+
+def test_step_table_matches_the_graph_accessors():
+    """At every vertex the step table holds partner(v), each non-loop solid
+    edge at v as (id, far end, unit) and each loop as (id, unit), in the
+    edge id order of edges_at(v)."""
+    rng = random.Random(2103)
+    systems = [oracle.random_matching_system(rng) for _ in range(500)]
+    for sys_ in systems + [closing_system(), _chain_system(3, 3)]:
+        graph = build_graph(sys_)
+        n = 2 * sys_.m
+        assert len(graph.partners) == len(graph.steps) == len(graph.loops) == n + 1
+        for v in range(1, n + 1):
+            edges = [(eid, graph.solid_edges[eid]) for eid in graph.edges_at(v)]
+            assert graph.partners[v] == graph.partner(v)
+            assert graph.steps[v] == tuple(
+                (eid, e.other(v), e.unit) for eid, e in edges if not e.is_loop
+            )
+            assert graph.loops[v] == tuple(
+                (eid, e.unit) for eid, e in edges if e.is_loop
+            )
+
+
+def _dense_member(sys_, u):
+    return all(sys_.fvalue(k, u) == sys_.fvalue(sys_.m + k, u) for k in range(sys_.m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.data())
+def test_membership_agrees_with_the_dense_definition(seed, data):
+    """is_member sums each row's support; it agrees with comparing the
+    dense fvalue of both sides of every equation, for nonnegative vectors,
+    on sums of generators, on other vectors and on the zero vector. A
+    balanced vector with a negative entry is no member."""
+    sys_ = oracle.random_matching_system(random.Random(seed), max_m=4, max_l=8)
+    n = sys_.num_vars
+    gens = presentation(sys_).generators
+    member = [0] * n
+    for g in gens:
+        k = data.draw(st.integers(0, 3))
+        member = [a + k * b for a, b in zip(member, g.vector)]
+    other = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    for u in (tuple(member), tuple(other), (0,) * n):
+        assert is_member(sys_, u) == _dense_member(sys_, u)
+    assert is_member(sys_, tuple(member)) and is_member(sys_, (0,) * n)
+    if any(member):
+        negated = tuple(-x for x in member)
+        assert _dense_member(sys_, negated) and not is_member(sys_, negated)
+
+
+def _side_targets(graph, arms, h_walks):
+    """Every X/H side p + q of a configuration with two walks on each side."""
+    pairs = [(arms.get(v, ()), arms.get(w, ())) for v, w in graph.dotted_edges()]
+    for (v, vbar), (w, wbar) in itertools.combinations(graph.dotted_edges(), 2):
+        for aend, bend in ((w, wbar), (wbar, w)):
+            pairs.append((h_walks.get((v, aend), ()), h_walks.get((vbar, bend), ())))
+    return {
+        p + q
+        for left, right in pairs
+        if len(left) >= 2 and len(right) >= 2
+        for p in left
+        for q in right
+    }
+
+
+def test_count_width_bounds_every_decomposition():
+    """Arms and H walks have total at most 2m, and every decomposition of
+    M generators has 2^(w-1) > 2M at the width presentation chooses. A
+    width too narrow for the longest decomposition raises, not aliases."""
+    for walk_total in range(1, 200):
+        w = _count_width(walk_total)
+        assert 1 << (w - 1) > 2 * walk_total
+    systems = [_chain_system(k, w) for k, w in ((3, 2), (4, 2), (3, 3))]
+    systems += [_chain_system(1, n) for n in range(2, 9)]
+    for sys_ in systems:
+        graph = build_graph(sys_)
+        best, arms, h_walks = _walks(graph)
+        n = sys_.num_vars
+        for u in itertools.chain(*arms.values(), *h_walks.values()):
+            assert sum(_unpack(u, n)) <= 2 * sys_.m
+        gens = _generators(graph, best)
+        counts = _side_counts(sys_, gens)
+        _x_candidates(graph, arms, counts)
+        _h_candidates(graph, h_walks, counts)
+        assert set(counts) == _side_targets(graph, arms, h_walks)
+        longest = max(len(_decoded(c, counts.width)) for c in counts.values())
+        assert 1 << (counts.width - 1) > 2 * longest
+        narrow = _SideCounts(gens, (2 * longest).bit_length())
+        with pytest.raises(InvariantError, match="overflow"):
+            _x_candidates(graph, arms, narrow)
+            _h_candidates(graph, h_walks, narrow)
+
+
+def test_closing_presentation_packs_each_side_once(monkeypatch):
+    """One closing presentation decomposes and packs each distinct X/H side
+    p + q exactly once, however many configurations read it."""
+    packed = []
+    missing = _SideCounts.__missing__
+
+    def counted(self, target):
+        packed.append(target)
+        return missing(self, target)
+
+    monkeypatch.setattr(_SideCounts, "__missing__", counted)
+    presentation(closing_system())
+    graph = build_graph(closing_system())
+    _, arms, h_walks = _walks(graph)
+    assert len(packed) == len(set(packed))
+    assert set(packed) == _side_targets(graph, arms, h_walks)
