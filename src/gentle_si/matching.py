@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, ValidationReport, require
+from .errors import InputError, InvariantError, ValidationReport, require
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,8 @@ FIELD = 4
 
 
 def _pack(u: Sequence[int]) -> int:
-    require(
-        all(0 <= x < 1 << (FIELD - 1) for x in u),
-        f"vector {tuple(u)} does not fit {FIELD}-bit fields",
-    )
+    if not all(0 <= x < 1 << (FIELD - 1) for x in u):
+        raise InvariantError(f"vector {tuple(u)} does not fit {FIELD}-bit fields")
     return sum(x << (FIELD * j) for j, x in enumerate(u))
 
 
@@ -222,11 +220,12 @@ def _unpack(packed: int, n: int) -> tuple[int, ...]:
     return tuple((packed >> (FIELD * j)) & mask for j in range(n))
 
 
-def _guard(n: int) -> int:
-    """The guard bits of n fields. For packed a and b, b <= a componentwise
-    exactly when ((a | guard) - b) & guard == guard: each field subtracts
+def _guard(n: int, width: int) -> int:
+    """The guard bits of n digits of the given bit width. For a and b packed
+    at that width, each digit below 2**(width - 1), b <= a componentwise
+    exactly when ((a | guard) - b) & guard == guard: each digit subtracts
     from its own guard bit and borrows from nothing above it."""
-    return sum(1 << (FIELD * j + FIELD - 1) for j in range(n))
+    return sum(1 << (width * j + width - 1) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -241,12 +240,6 @@ class SolidEdge:
     def is_loop(self) -> bool:
         return len(self.ends) == 1
 
-    def other(self, v: int) -> int:
-        if self.is_loop:
-            return self.ends[0]
-        p, q = self.ends
-        return q if v == p else p
-
 
 @dataclass
 class MatchingGraph:
@@ -258,9 +251,9 @@ class MatchingGraph:
     the forcing cascades); their edges are dropped.
 
     The walk passes read the step table, indexed by vertex (entry 0 unused):
-    partners[v] is partner(v), steps[v] holds (edge id, far end, unit) for
-    each non-loop solid edge at v and loops[v] holds (edge id, unit) for
-    each loop at v, both in edge id order.
+    partners[v] is v's dotted partner, steps[v] holds (edge id, far end,
+    unit) for each non-loop solid edge at v and loops[v] holds (edge id,
+    unit) for each loop at v, both in edge id order.
     """
 
     system: MatchingSystem
@@ -274,14 +267,6 @@ class MatchingGraph:
     @property
     def m(self) -> int:
         return self.system.m
-
-    def partner(self, v: int) -> int:
-        return v + self.m if v <= self.m else v - self.m
-
-    def edges_at(self, v: int) -> tuple[int, ...]:
-        """The ids of the solid edges at v, in increasing order, read off
-        solid_edges independently of the step table."""
-        return tuple(eid for eid, e in enumerate(self.solid_edges) if v in e.ends)
 
     def dotted_edges(self) -> list[tuple[int, int]]:
         return [(k + 1, k + 1 + self.m) for k in range(self.m)]
@@ -456,7 +441,7 @@ def _walks(graph: MatchingGraph):
     The loop-started pass starts once from each loop. At each dotted step it
     records the walk so far as an X arm, by the end of its last solid edge,
     and it offers a string wherever a loop at the new end closes the walk.
-    The loop-free pass starts once from each vertex x, at partner(x) as a
+    The loop-free pass starts once from each vertex x, at its partner as a
     virtual end, so its first solid step is taken at x. It records each
     walk as an H walk, by x and the end of its last solid edge, and it
     offers a band wherever the walk closes at x with at least two solid
@@ -617,7 +602,7 @@ def _generators(graph: MatchingGraph, best: dict) -> list[Generator]:
     totals = {u: sum(vec) for u, (_, vec, _) in best.items()}
     vecs = sorted(best, key=totals.__getitem__, reverse=True)
     neg_totals = [-totals[u] for u in vecs]
-    guard = _guard(graph.system.num_vars)
+    guard = _guard(graph.system.num_vars, FIELD)
     memo: dict[tuple, Optional[tuple]] = {}
     items = []
     for u, (_, vec, walks) in best.items():
@@ -634,77 +619,6 @@ def _generators(graph: MatchingGraph, best: dict) -> list[Generator]:
         Generator(name=f"g{i + 1}", vector=u, kind=k, walk=r)
         for i, (u, k, r) in enumerate(items)
     ]
-
-
-def _msort(seq):
-    return tuple(sorted(seq))
-
-
-def _side_vector(vectors, side, n):
-    u = [0] * n
-    for i in side:
-        for j, x in enumerate(vectors[i]):
-            u[j] += x
-    return tuple(u)
-
-
-def _contains(state, sub):
-    pool = list(state)
-    for x in sub:
-        if x in pool:
-            pool.remove(x)
-        else:
-            return False
-    return True
-
-
-def _replace(state, old, new):
-    pool = list(state)
-    for x in old:
-        pool.remove(x)
-    return _msort(pool + list(new))
-
-
-class _Congruence:
-    """The congruence spanned by the relations kept so far.
-
-    Each relation is stored in both directions under the smallest generator
-    of its source side, so a multiset only tries the moves whose source can
-    fit inside it.
-    """
-
-    def __init__(self):
-        self._by_first: dict[int, list[tuple]] = {}
-
-    def add(self, rel):
-        a, b = rel
-        for src, dst in ((a, b), (b, a)):
-            self._by_first.setdefault(src[0], []).append((src, dst))
-
-    def _moves(self, state):
-        for x in set(state):
-            for src, dst in self._by_first.get(x, ()):
-                if _contains(state, src):
-                    yield _replace(state, src, dst)
-
-    def implies(self, a, b):
-        """Whether the kept relations rewrite multiset a into multiset b."""
-        start, target = _msort(a), _msort(b)
-        if start == target:
-            return True
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for st in frontier:
-                for t in self._moves(st):
-                    if t == target:
-                        return True
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return False
 
 
 def _count_width(walk_total: int) -> int:
@@ -725,33 +639,34 @@ class _SideCounts(dict):
     generators, packed into one int, one base-2^width digit per generator
     index.
 
-    A missing target is decomposed and packed on its first lookup and then
-    read from the dict. Every target shares one memo of _decompose_first
-    sub-results, so a remainder met under one target is not searched again
-    under another.
+    vectors and units hold each generator's packed vector and its count
+    digit 1, by generator index. A free generator never fits a target: its
+    variable is on no walk. A missing target is decomposed and packed on
+    its first lookup and then read from the dict. Every target shares one
+    memo of _decompose_first sub-results, so a remainder met under one
+    target is not searched again under another.
     """
 
-    __slots__ = ("width", "_vectors", "_units", "_guard", "_memo")
+    __slots__ = ("width", "vectors", "units", "_guard", "_memo")
 
     def __init__(self, gens: list[Generator], width: int):
         self.width = width
-        searchable = [i for i, g in enumerate(gens) if g.kind != "free"]
-        self._vectors = [_pack(gens[i].vector) for i in searchable]
-        self._units = [1 << (width * i) for i in searchable]
-        self._guard = _guard(len(gens[0].vector)) if gens else 0
+        self.vectors = [_pack(g.vector) for g in gens]
+        self.units = [1 << (width * i) for i in range(len(gens))]
+        self._guard = _guard(len(gens[0].vector), FIELD) if gens else 0
         self._memo: dict[tuple, Optional[tuple]] = {}
 
     def __missing__(self, target: int) -> int:
-        local = _decompose_first(self._vectors, self._guard, target, 0, self._memo)
+        found = _decompose_first(self.vectors, self._guard, target, 0, self._memo)
         require(
-            local is not None,
+            found is not None,
             "configuration side does not decompose into generators",
         )
         require(
-            1 << (self.width - 1) > 2 * len(local),
+            1 << (self.width - 1) > 2 * len(found),
             "a decomposition overflows the signed count digits",
         )
-        counts = self[target] = sum([self._units[i] for i in local])
+        counts = self[target] = sum([self.units[i] for i in found])
         return counts
 
 
@@ -833,39 +748,87 @@ def _h_candidates(graph, h_walks, counts):
     return cands
 
 
+def _reaches(moves, guard, width, start, target) -> bool:
+    """Whether the moves rewrite packed counts start into target.
+
+    moves maps a generator index to the (src, dst) moves whose source's
+    lowest generator it is, so a state only tries the moves of the
+    generators read off its nonzero digits. A move applies where src fits
+    inside the state, one guarded subtraction.
+    """
+    mask = (1 << width) - 1
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            rest = s
+            while rest:
+                i = ((rest & -rest).bit_length() - 1) // width
+                rest &= ~(mask << (width * i))
+                for src, dst in moves.get(i, ()):
+                    if ((s | guard) - src) & guard == guard:
+                        t = s - src + dst
+                        if t == target:
+                            return True
+                        if t not in seen:
+                            seen.add(t)
+                            nxt.append(t)
+        frontier = nxt
+    return False
+
+
 def _prune(
-    cands, gens: list[Generator], num_vars: int
+    cands, gens: list[Generator], counts: _SideCounts
 ) -> tuple[list[Relation], list[tuple[int, ...]]]:
     """Distinct candidates kept greedily unless the kept ones imply them.
 
-    Candidates are taken in order of (total, vector) of their side sums. A
-    relation can only rewrite multisets whose sum dominates its side sum, so
-    this order presents each fiber after every fiber below it. A relation
-    formed more than once keeps its first provenance. Returns the kept
-    relations and, in the same order, their side sums.
+    Each side is held as generator counts packed into one int, one
+    base-2^width digit per generator index, as counts packs them. A
+    kept relation rewrites a multiset holding either side into one holding
+    the other, and a candidate is dropped when these moves rewrite its one
+    side into its other. Candidates are taken in order of (total, vector)
+    of their side sums. A relation can only rewrite multisets whose sum
+    dominates its side sum, so this order presents each fiber after every
+    fiber below it. A relation formed more than once keeps its first
+    provenance. Returns the kept relations and, in the same order, their
+    side sums.
     """
-    vectors = [g.vector for g in gens]
+    n = len(gens[0].vector) if gens else 0
+    width, vectors, units = counts.width, counts.vectors, counts.units
     first: dict[tuple, str] = {}
     for rel, prov in cands:
         first.setdefault(rel, prov)
     ordered = []
-    for rel, prov in first.items():
-        v = _side_vector(vectors, rel[0], num_vars)
-        ordered.append(((sum(v), v, rel), prov))
+    for rel in first:
+        v = _unpack(sum(map(vectors.__getitem__, rel[0])), n)
+        ordered.append((sum(v), v, rel))
     ordered.sort()
-    congruence = _Congruence()
+    # a multiset of the fiber of sum v holds non-free generators only, each
+    # of total at least 2, so none of its digits exceeds sum(v) / 2; the
+    # largest sum comes last
+    require(
+        not ordered or 1 << (width - 1) > ordered[-1][0] // 2,
+        "a fiber's generator counts overflow their digits",
+    )
+    guard = _guard(len(gens), width)
+    moves: dict[int, list[tuple[int, int]]] = {}
     out = []
     sums = []
-    for (_, v, rel), prov in ordered:
-        if congruence.implies(*rel):
+    for _, v, (a, b) in ordered:
+        pa = sum(map(units.__getitem__, a))
+        pb = sum(map(units.__getitem__, b))
+        # the sides of a candidate are disjoint, so pa != pb
+        if _reaches(moves, guard, width, pa, pb):
             continue
-        congruence.add(rel)
+        moves.setdefault(a[0], []).append((pa, pb))
+        moves.setdefault(b[0], []).append((pb, pa))
         sums.append(v)
         out.append(
             Relation(
-                lhs=tuple(gens[i].name for i in rel[0]),
-                rhs=tuple(gens[i].name for i in rel[1]),
-                provenance=prov,
+                lhs=tuple(gens[i].name for i in a),
+                rhs=tuple(gens[i].name for i in b),
+                provenance=first[a, b],
             )
         )
     return out, sums
@@ -896,7 +859,7 @@ def presentation(sys_: MatchingSystem) -> Presentation:
     cands = _x_candidates(graph, arms, counts) + _h_candidates(
         graph, h_walks, counts
     )
-    relations, sums = _prune(cands, gens, sys_.num_vars)
+    relations, sums = _prune(cands, gens, counts)
     cap = max([RELATION_CAP_FLOOR] + [max(sys_.fprofile(u), default=0) for u in sums])
     return Presentation(
         system=sys_,

@@ -17,7 +17,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .errors import InputError, require
-from .matching import Presentation, Relation, is_member, presentation
+from .matching import Presentation, is_member, presentation
 from .peg import (
     MatchingSystemExtract,
     PegGraph,
@@ -372,15 +372,6 @@ class SiPresentation:
     degree_bound_gens: int
     degree_bound_rels: int
     rank_maximal: bool
-
-    def generator(self, name: str) -> SiGenerator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise InputError(f"unknown generator {name!r}")
-
-    def relation_degree(self, rel: Relation) -> int:
-        return sum(self.generator(n).degree for n in rel.lhs)
 
     def as_dict(self) -> dict:
         sys_ = self.matching.system

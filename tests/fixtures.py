@@ -160,3 +160,15 @@ def path_example():
     c = Coloring({"a1": "s", "a2": "s"})
     beta = {"1": 1, "2": 1, "3": 1}
     return q, c, beta
+
+
+def generator_named(pres, name):
+    """The generator of an SiPresentation with the given name."""
+    (g,) = [g for g in pres.generators if g.name == name]
+    return g
+
+
+def relation_degree(pres, rel):
+    """The degree of a relation of an SiPresentation: the summed degrees of
+    the generators on its left side."""
+    return sum(generator_named(pres, n).degree for n in rel.lhs)

@@ -85,6 +85,44 @@ def _references(tree: ast.AST):
             yield node.name.rsplit(".", 1)[-1], node.lineno
 
 
+def _program_trees():
+    """The parsed source of every program file: src/, scripts/ and bench/."""
+    program = [
+        p
+        for part in ("src", "scripts", "bench")
+        for p in sorted((ROOT / part).rglob("*.py"))
+    ]
+    assert program
+    return {
+        p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in program
+    }
+
+
+def _uncalled(trees, defs, references):
+    """qualname -> where, for each public (path, node, qualname) in defs
+    whose name no reference outside its own body names; references(tree)
+    yields (name, line)."""
+    uses: dict[str, list] = {}
+    for p, tree in trees.items():
+        for name, line in references(tree):
+            uses.setdefault(name, []).append((p, line))
+    uncalled = {}
+    for path, node, qualname in defs:
+        if node.name.startswith("_"):
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(p != path or i not in own for p, i in uses.get(node.name, ())):
+            uncalled[qualname] = f"{path.name}:{node.lineno}:{qualname}"
+    return uncalled
+
+
+def _assert_exact(uncalled, allowed, what):
+    dead = [w for name, w in uncalled.items() if name not in allowed]
+    assert not dead, f"public {what} with no caller outside tests: {dead}"
+    stale = sorted(set(allowed) - set(uncalled))
+    assert not stale, f"allow-listed {what} that have a caller or are gone: {stale}"
+
+
 def test_every_public_name_has_a_caller():
     """A public def or class no program file references is dead, or is allow-listed.
 
@@ -93,34 +131,48 @@ def test_every_public_name_has_a_caller():
     own body. The allow-list stays exact: a listed name that gains a caller
     or is deleted must leave it.
     """
-    program = [
-        p
-        for part in ("src", "scripts", "bench")
-        for p in sorted((ROOT / part).rglob("*.py"))
+    trees = _program_trees()
+    defs = [
+        (path, node, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
-    assert program
-    trees = {
-        p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in program
-    }
-    uses: dict[str, list] = {}
-    for p, tree in trees.items():
-        for name, line in _references(tree):
-            uses.setdefault(name, []).append((p, line))
-    uncalled = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(p != path or i not in own for p, i in uses.get(node.name, ())):
-                uncalled[node.name] = f"{path.name}:{node.lineno}:{node.name}"
-    dead = [w for name, w in uncalled.items() if name not in UNCALLED_ON_PURPOSE]
-    assert not dead, f"public names with no caller outside tests: {dead}"
-    stale = sorted(set(UNCALLED_ON_PURPOSE) - set(uncalled))
-    assert not stale, f"allow-listed names that have a caller or are gone: {stale}"
+    uncalled = _uncalled(trees, defs, _references)
+    _assert_exact(uncalled, UNCALLED_ON_PURPOSE, "names")
 
+
+# public methods kept for the paper alone, as Class.method, each with its reason
+UNCALLED_METHODS_ON_PURPOSE: dict[str, str] = {}
+
+
+def _attributes(tree: ast.AST):
+    """(attr, line) for each attribute reference in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_method_has_a_caller():
+    """A public method, property included, of a package class that no program
+    file reads as an attribute is dead, or is allow-listed.
+
+    Only attribute references count, outside the method's own body; a
+    method of that name on any class counts as read. The allow-list stays
+    exact, as for top-level names.
+    """
+    trees = _program_trees()
+    defs = [
+        (path, node, f"{cls.name}.{node.name}")
+        for path in sorted(SRC.glob("*.py"))
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert defs
+    uncalled = _uncalled(trees, defs, _attributes)
+    _assert_exact(uncalled, UNCALLED_METHODS_ON_PURPOSE, "methods")
 
 
 # the engine's modules, which neither the referee nor the test references import

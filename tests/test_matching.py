@@ -282,8 +282,8 @@ def _pruned(sys_):
     best, arms, h_walks = _walks(g)
     gens = _generators(g, best)
     counts = _side_counts(sys_, gens)
-    xrels, _ = _prune(_x_candidates(g, arms, counts), gens, sys_.num_vars)
-    hrels, _ = _prune(_h_candidates(g, h_walks, counts), gens, sys_.num_vars)
+    xrels, _ = _prune(_x_candidates(g, arms, counts), gens, counts)
+    hrels, _ = _prune(_h_candidates(g, h_walks, counts), gens, counts)
     return xrels, hrels, gens
 
 
@@ -388,7 +388,7 @@ def test_packed_vectors_round_trip_compare_and_subtract(pairs):
     n = len(a)
     pa, pb = _pack(a), _pack(b)
     assert _unpack(pa, n) == a
-    guard = _guard(n)
+    guard = _guard(n, FIELD)
     below = all(y <= x for x, y in zip(a, b))
     assert (((pa | guard) - pb) & guard == guard) == below
     if below:
@@ -405,6 +405,34 @@ def test_pack_rejects_entries_outside_the_field(u, at, bad):
     u[at % len(u)] = bad
     with pytest.raises(InvariantError):
         _pack(u)
+
+
+def test_pack_names_the_vector_that_does_not_fit():
+    with pytest.raises(InvariantError, match=r"vector \(8,\) does not fit"):
+        _pack((8,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_count_digits_compare_and_move_at_count_widths(walk_total, data):
+    """At every width _count_width gives, digit vectors below 2^(w-1) pass
+    the guarded test exactly when src <= s componentwise, and a move
+    s - src + dst then packs the componentwise result."""
+    w = _count_width(walk_total)
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    digit = st.integers(min_value=0, max_value=(1 << (w - 1)) - 1)
+    vectors = st.lists(digit, min_size=n, max_size=n)
+    s, src, dst = (data.draw(vectors) for _ in range(3))
+
+    def packed(u):
+        return sum(x << (w * j) for j, x in enumerate(u))
+
+    guard = _guard(n, w)
+    fits = ((packed(s) | guard) - packed(src)) & guard == guard
+    assert fits == all(y <= x for x, y in zip(s, src))
+    if fits:
+        moved = [x - y + z for x, y, z in zip(s, src, dst)]
+        assert packed(s) - packed(src) + packed(dst) == packed(moved)
 
 
 def test_walk_vectors_fit_the_packed_fields():
@@ -688,20 +716,37 @@ def _reference_vector(graph, edges):
     return tuple(u)
 
 
+def _partner(graph, v):
+    """The vertex dotted-matched to v."""
+    return v + graph.m if v <= graph.m else v - graph.m
+
+
+def _edges_at(graph, v):
+    """The ids of the solid edges at v, in increasing order, read off
+    solid_edges independently of the step table."""
+    return tuple(eid for eid, e in enumerate(graph.solid_edges) if v in e.ends)
+
+
+def _far_end(e, v):
+    """The end of non-loop solid edge e that is not v."""
+    p, q = e.ends
+    return q if v == p else p
+
+
 def _walk_every(graph, verts, edges, fv, visit):
     """Every alternating continuation of the walk that keeps each row count
     at most 2; visit(w) is called after each dotted step, to w."""
 
     def extend(cur):
-        w = graph.partner(cur)
+        w = _partner(graph, cur)
         verts.append(w)
         edges.append(DOTTED)
         visit(w)
-        for eid in graph.edges_at(w):
+        for eid in _edges_at(graph, w):
             e = graph.solid_edges[eid]
             if e.is_loop:
                 continue
-            z = e.other(w)
+            z = _far_end(e, w)
             if fv.get(w, 0) + 1 <= 2 and fv.get(z, 0) + 1 <= 2:
                 fv[w] = fv.get(w, 0) + 1
                 fv[z] = fv.get(z, 0) + 1
@@ -753,17 +798,18 @@ def _arms_and_h_walks(graph):
 
             _walk_every(graph, verts, edges, {v: 1}, arm)
     for x in range(1, 2 * graph.m + 1):
-        for eid in graph.edges_at(x):
+        for eid in _edges_at(graph, x):
             e = graph.solid_edges[eid]
             if e.is_loop:
                 continue
-            verts, edges = [x, e.other(x)], [eid]
+            y = _far_end(e, x)
+            verts, edges = [x, y], [eid]
 
             def h_walk(_w):
                 key = (x, verts[-2])
                 h_walks.setdefault(key, set()).add(_reference_vector(graph, edges))
 
-            _walk_every(graph, verts, edges, {x: 1, e.other(x): 1}, h_walk)
+            _walk_every(graph, verts, edges, {x: 1, y: 1}, h_walk)
     return arms, h_walks
 
 
@@ -908,9 +954,10 @@ def test_closing_presentation_starts_twelve_walks(monkeypatch):
 
 
 def test_step_table_matches_the_graph_accessors():
-    """At every vertex the step table holds partner(v), each non-loop solid
-    edge at v as (id, far end, unit) and each loop as (id, unit), in the
-    edge id order of edges_at(v)."""
+    """At every vertex the step table holds v's dotted partner, each
+    non-loop solid edge at v as (id, far end, unit) and each loop as
+    (id, unit), in edge id order, as the reference accessors read them off
+    solid_edges."""
     rng = random.Random(2103)
     systems = [oracle.random_matching_system(rng) for _ in range(500)]
     for sys_ in systems + [closing_system(), _chain_system(3, 3)]:
@@ -918,10 +965,10 @@ def test_step_table_matches_the_graph_accessors():
         n = 2 * sys_.m
         assert len(graph.partners) == len(graph.steps) == len(graph.loops) == n + 1
         for v in range(1, n + 1):
-            edges = [(eid, graph.solid_edges[eid]) for eid in graph.edges_at(v)]
-            assert graph.partners[v] == graph.partner(v)
+            edges = [(eid, graph.solid_edges[eid]) for eid in _edges_at(graph, v)]
+            assert graph.partners[v] == _partner(graph, v)
             assert graph.steps[v] == tuple(
-                (eid, e.other(v), e.unit) for eid, e in edges if not e.is_loop
+                (eid, _far_end(e, v), e.unit) for eid, e in edges if not e.is_loop
             )
             assert graph.loops[v] == tuple(
                 (eid, e.unit) for eid, e in edges if e.is_loop
@@ -1014,3 +1061,27 @@ def test_closing_presentation_packs_each_side_once(monkeypatch):
     _, arms, h_walks = _walks(graph)
     assert len(packed) == len(set(packed))
     assert set(packed) == _side_targets(graph, arms, h_walks)
+
+
+def test_prune_width_bounds_every_fiber():
+    """On chain (3, 3) the width presentation chooses, and the narrowest
+    width with 2^(w-1) above every candidate's sum(v) / 2, keep the same
+    relations. A narrower width raises instead of aliasing counts."""
+    sys_ = _chain_system(3, 3)
+    graph = build_graph(sys_)
+    best, arms, h_walks = _walks(graph)
+    gens = _generators(graph, best)
+    counts = _side_counts(sys_, gens)
+    cands = _x_candidates(graph, arms, counts) + _h_candidates(graph, h_walks, counts)
+    vectors = {g.name: g.vector for g in gens}
+    half = max(
+        sum(x for i in a for x in gens[i].vector) // 2 for (a, _), _ in cands
+    )
+    assert 1 << (counts.width - 1) > half
+    kept = _prune(cands, gens, counts)
+    assert len(kept[0]) == 2025
+    assert _prune(cands, gens, _SideCounts(gens, half.bit_length() + 1)) == kept
+    with pytest.raises(InvariantError, match="overflow"):
+        _prune(cands, gens, _SideCounts(gens, half.bit_length()))
+    for rel, v in zip(*kept):
+        assert tuple(map(sum, zip(*(vectors[n] for n in rel.lhs)))) == v

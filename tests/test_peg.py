@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import determinant_example, path_example, running_example, running_system
+from fixtures import (
+    determinant_example,
+    path_example,
+    relation_degree,
+    running_example,
+    running_system,
+)
 from reference import enumerate_points, random_colored_quiver
 
 from gentle_si.cli import CliConfig, parse_model, run_command
@@ -271,4 +277,4 @@ def test_random_pipelines_extract_valid_systems(seed):
         assert r[a] > 0
     pres = si_presentation(q, c, beta, r)
     for rel in pres.matching.relations:
-        assert pres.relation_degree(rel) <= pres.degree_bound_rels
+        assert relation_degree(pres, rel) <= pres.degree_bound_rels

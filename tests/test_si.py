@@ -9,7 +9,9 @@ import pytest
 from fixtures import (
     RUNNING_GENERATORS,
     determinant_example,
+    generator_named,
     path_example,
+    relation_degree,
     running_example,
 )
 from reference import random_tight_component
@@ -64,7 +66,7 @@ def test_determinant_presentation_frozen():
     assert pres.band_vars == ()
     assert pres.matching.relations == []
     assert [g.name for g in pres.generators] == ["g1"]
-    g = pres.generator("g1")
+    g = generator_named(pres, "g1")
     assert g.kind == "free"
     assert g.u == (1,)
     assert g.y == ()
@@ -94,7 +96,7 @@ def test_running_membership_failure_witness_at_two_color_vertex(arrow, parts, wi
     sums disagree only at entry 6 in the first case, and at entries 2..6 in
     the second, where the witness is the first of them."""
     q, c, beta, r = running_example()
-    lam = dict(si_presentation(q, c, beta, r).generator("g3").partitions)
+    lam = dict(generator_named(si_presentation(q, c, beta, r), "g3").partitions)
     lam[arrow] = parts
     res = si_membership(lam, q, c, beta)
     assert not res.ok
@@ -124,7 +126,7 @@ def test_running_band_unit_generator_frozen():
     pres = si_presentation(*running_example())
     assert pres.rank_maximal
     assert pres.band_vars == ("y1",)
-    g = pres.generator("y1")
+    g = generator_named(pres, "y1")
     assert g.kind == "band_var"
     assert g.u == (0,) * 7
     assert g.y == (1,)
@@ -144,11 +146,11 @@ def test_running_walk_generators_frozen():
             a: (g.u[i], g.u[i])
             for i, a in enumerate(pres.matching.system.var_names)
         }
-    g1 = pres.generator("g1")
+    g1 = generator_named(pres, "g1")
     assert g1.sigma == {"1": 0, "2": 0, "3": 0, "4": 1, "5": -2}
     assert g1.grade == (0, 0, 0, 0, 1)
-    assert pres.generator("g3").grade == (0, 1, 0, 0, 0)
-    assert pres.generator("g4").grade == (0, 0, 0, 1, 1)
+    assert generator_named(pres, "g3").grade == (0, 1, 0, 0, 0)
+    assert generator_named(pres, "g4").grade == (0, 0, 0, 1, 1)
 
 
 def test_running_relation_degrees_within_bound():
@@ -163,7 +165,7 @@ def test_running_relation_degrees_within_bound():
         or sides == {(frozenset({"g2", "g4"}), frozenset({"g1", "g5"}))}
     )
     for rel in pres.matching.relations:
-        assert pres.relation_degree(rel) <= pres.degree_bound_rels
+        assert relation_degree(pres, rel) <= pres.degree_bound_rels
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -172,7 +174,7 @@ def test_scaled_running_relation_degrees_within_bound(k):
     beta = {v: k * b for v, b in beta.items()}
     r = {a: k * x for a, x in r.items()}
     pres = si_presentation(q, c, beta, r)
-    degrees = [pres.relation_degree(rel) for rel in pres.matching.relations]
+    degrees = [relation_degree(pres, rel) for rel in pres.matching.relations]
     assert degrees == [10 * k]
     assert max(degrees) <= pres.degree_bound_rels
 
@@ -343,7 +345,7 @@ def test_tight_components_present_relations(seed):
         if g.kind != "band_var":
             assert roundtrip_uy(pres.context, g.partitions) == (g.u, g.y), g.name
     for rel in pres.matching.relations:
-        assert pres.relation_degree(rel) <= pres.degree_bound_rels
+        assert relation_degree(pres, rel) <= pres.degree_bound_rels
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +425,7 @@ def test_rank_zero_arrow_presentation():
     pres = si_presentation(q, c, beta, {"a1": 1, "a2": 0})
     assert pres.rank_maximal
     assert [g.name for g in pres.generators] == ["g1"]
-    g = pres.generator("g1")
+    g = generator_named(pres, "g1")
     assert g.partitions == {"a1": (1,), "a2": ()}
     assert g.degree == 1
     assert g.sigma == {"1": 1, "2": -1, "3": 0}
