@@ -4,10 +4,16 @@ Run after any intentional output format change, then eyeball the diff:
 
     python scripts/update_goldens.py
     git diff tests/goldens
+
+With --check it recomputes every golden and digest, writes nothing, names
+each file that would change and exits 1 if any would:
+
+    python scripts/update_goldens.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -123,7 +129,8 @@ def large_outputs_digest() -> str:
     return h.hexdigest()
 
 
-def run() -> int:
+def run(check: bool = False) -> int:
+    texts = {}
     for out_name, argv in CASES:
         argv = [
             str(GOLDENS / a) if a.endswith(".model") else a for a in argv
@@ -134,26 +141,33 @@ def run() -> int:
         if code != 0:
             print(f"{out_name}: exit {code}", file=sys.stderr)
             return code
-        (GOLDENS / out_name).write_text(buf.getvalue(), encoding="utf-8")
-        print(f"wrote {out_name} ({len(buf.getvalue())} bytes)")
-    (GOLDENS / DIGEST_NAME).write_text(
-        random_presentations_digest() + "\n", encoding="utf-8"
-    )
-    print(f"wrote {DIGEST_NAME}")
-    (GOLDENS / RICH_DIGEST_NAME).write_text(
-        relation_rich_presentations_digest() + "\n", encoding="utf-8"
-    )
-    print(f"wrote {RICH_DIGEST_NAME}")
-    (GOLDENS / QUIVER_DIGEST_NAME).write_text(
-        quiver_outputs_digest() + "\n", encoding="utf-8"
-    )
-    print(f"wrote {QUIVER_DIGEST_NAME}")
-    (GOLDENS / LARGE_DIGEST_NAME).write_text(
-        large_outputs_digest() + "\n", encoding="utf-8"
-    )
-    print(f"wrote {LARGE_DIGEST_NAME}")
-    return 0
+        texts[out_name] = buf.getvalue()
+    texts[DIGEST_NAME] = random_presentations_digest() + "\n"
+    texts[RICH_DIGEST_NAME] = relation_rich_presentations_digest() + "\n"
+    texts[QUIVER_DIGEST_NAME] = quiver_outputs_digest() + "\n"
+    texts[LARGE_DIGEST_NAME] = large_outputs_digest() + "\n"
+    if not check:
+        for name, text in texts.items():
+            (GOLDENS / name).write_text(text, encoding="utf-8")
+            print(f"wrote {name} ({len(text)} bytes)")
+        return 0
+    changed = [
+        name
+        for name, text in texts.items()
+        if not (GOLDENS / name).exists()
+        or (GOLDENS / name).read_text(encoding="utf-8") != text
+    ]
+    for name in changed:
+        print(f"would change {name}")
+    print(f"{len(changed)} of {len(texts)} files would change")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; name each file that would change, exit 1 if any",
+    )
+    raise SystemExit(run(check=parser.parse_args().check))

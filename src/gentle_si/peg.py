@@ -96,7 +96,8 @@ def build_peg(
         for i in range(1, r[a.name]):
             u = Root(a.tail, s, i)
             w = Root(a.head, s, beta[a.head] - i)
-            require(u in root_set and w in root_set, f"edge {a.name}:{i} off the root set")
+            if u not in root_set or w not in root_set:
+                raise InvariantError(f"edge {a.name}:{i} off the root set")
             lo, hi = sorted([u, w])
             colored_edges.add((lo, hi, a.name))
 
@@ -109,10 +110,8 @@ def build_peg(
         adj[w].append((u, "colored", a))
     for rt, nbrs in adj.items():
         kinds = [k for _, k, _ in nbrs]
-        require(
-            kinds.count("vertex") <= 1 and kinds.count("colored") <= 1,
-            f"root {rt} has two edges of one kind",
-        )
+        if kinds.count("vertex") > 1 or kinds.count("colored") > 1:
+            raise InvariantError(f"root {rt} has two edges of one kind")
         nbrs.sort()
     return PegGraph(
         roots=tuple(roots),
@@ -169,7 +168,8 @@ def components(graph: PegGraph) -> list[PegComponent]:
             out.append(PegComponent("isolated", (root,), ()))
             continue
         if ends:
-            require(len(ends) == 2, f"string component with ends {ends}")
+            if len(ends) != 2:
+                raise InvariantError(f"string component with ends {ends}")
             walk = _walk_string(graph, ends[0])
             require(walk[-1] == ends[1], "string walk misses its second end")
             out.append(PegComponent("string", tuple(walk), (walk[0], walk[-1])))

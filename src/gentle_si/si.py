@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from operator import add
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, require
 from .matching import Presentation, is_member, presentation
@@ -29,6 +29,8 @@ from .quivers import Coloring, Incidence, Quiver, color_incidence
 from .ranks import _all_tight, check_beta
 
 PartitionMap = dict[str, tuple[int, ...]]
+# a partition, or an incidence vector, as (value, multiplicity) runs in order
+_Runs = tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +43,10 @@ class PegContext:
     The extraction holds the components and their endpoints; indices below
     are positions in extract.components. arrow_comps maps each arrow a to
     the components through its tail-side roots at heights 1..r(a)-1, in
-    that order. var_pos maps each variable to its position, readers lists
-    for each variable the string components whose first endpoint reads it
-    (once per read), and band_slots the bands in order.
+    that order; positions is its transpose, the (arrow, height) pairs of
+    each component. var_pos maps each variable to its position, readers
+    lists for each variable the string components whose first endpoint
+    reads it (once per read), and band_slots the bands in order.
     """
 
     q: Quiver
@@ -52,6 +55,7 @@ class PegContext:
     graph: PegGraph
     extract: MatchingSystemExtract
     arrow_comps: dict[str, tuple[int, ...]]
+    positions: tuple[tuple[tuple[str, int], ...], ...]
     var_pos: dict[str, int]
     readers: tuple[tuple[int, ...], ...]
     band_slots: tuple[int, ...]
@@ -70,6 +74,10 @@ def peg_context(
         )
         for a in q.arrows
     }
+    positions: list[list[tuple[str, int]]] = [[] for _ in comps]
+    for a, idxs in arrow_comps.items():
+        for h, idx in enumerate(idxs, 1):
+            positions[idx].append((a, h))
     var_pos = {a: j for j, a in enumerate(extract.system.var_names)}
     readers: list[list[int]] = [[] for _ in var_pos]
     for idx, cp in enumerate(comps):
@@ -78,7 +86,7 @@ def peg_context(
                 readers[var_pos[a]].append(idx)
     band_slots = tuple(idx for idx, cp in enumerate(comps) if cp.kind == "band")
     return PegContext(
-        q, beta, r, graph, extract, arrow_comps,
+        q, beta, r, graph, extract, arrow_comps, tuple(map(tuple, positions)),
         var_pos, tuple(map(tuple, readers)), band_slots,
     )
 
@@ -106,17 +114,24 @@ def _check_uy(
     return u, y
 
 
-def _values_by_component(
-    ctx: PegContext, u: Sequence[int], y: Sequence[int]
-) -> list[int]:
-    vals = [0] * len(ctx.extract.components)
-    for idx, v in zip(ctx.band_slots, y):
-        vals[idx] = v
+def _jumps(
+    ctx: PegContext, u: Sequence[int], bands: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """Nonzero jump values of an element by component index: each string
+    reads u off its first endpoint, bands gives (component index, value)."""
+    jumps = {idx: v for idx, v in bands if v}
     for uj, comps in zip(u, ctx.readers):
         if uj:
             for idx in comps:
-                vals[idx] += uj
-    return vals
+                jumps[idx] = jumps.get(idx, 0) + uj
+    return jumps
+
+
+def _grade(ctx: PegContext, jumps: dict[int, int]) -> tuple[int, ...]:
+    vals = [0] * len(ctx.extract.components)
+    for idx, v in jumps.items():
+        vals[idx] = v
+    return tuple(vals)
 
 
 def component_values(
@@ -128,7 +143,7 @@ def component_values(
     roots always sit at jump zero.
     """
     u, y = _check_uy(ctx, u, y)
-    return tuple(_values_by_component(ctx, u, y))
+    return _grade(ctx, _jumps(ctx, u, zip(ctx.band_slots, y)))
 
 
 def component_labels(ctx: PegContext) -> list[str]:
@@ -154,24 +169,54 @@ def lambda_from_uy(
     matching system, y gives one value per band and defaults to zero.
     """
     u, y = _check_uy(ctx, u, y)
-    return _partitions(ctx, u, _values_by_component(ctx, u, y))
+    return _expand(_partition_runs(ctx, u, _jumps(ctx, u, zip(ctx.band_slots, y))))
 
 
-def _partitions(
-    ctx: PegContext, u: tuple[int, ...], vals: Sequence[int]
-) -> PartitionMap:
-    lam: PartitionMap = {}
+def _partition_runs(
+    ctx: PegContext, u: Sequence[int], jumps: dict[int, int]
+) -> dict[str, _Runs]:
+    """lambda_from_uy as runs, from the nonzero jumps alone.
+
+    A partition changes value only at the heights of its arrow's components
+    with a nonzero jump, so its runs end there and at r(a).
+    """
+    steps: dict[str, list[tuple[int, int]]] = {}
+    for idx, v in jumps.items():
+        for a, h in ctx.positions[idx]:
+            steps.setdefault(a, []).append((h, v))
+    lam: dict[str, _Runs] = {}
     for a in ctx.q.arrow_names():
-        if ctx.r[a] == 0:
+        r = ctx.r[a]
+        if r == 0:
             lam[a] = ()
             continue
         acc = u[ctx.var_pos[a]]
-        parts = [acc]
-        for idx in reversed(ctx.arrow_comps[a]):
-            acc += vals[idx]
-            parts.append(acc)
-        lam[a] = tuple(reversed(parts))
+        at = steps.get(a)
+        if not at:
+            lam[a] = ((acc, r),)
+            continue
+        at.sort()
+        acc += sum(v for _, v in at)
+        runs = []
+        prev = 0
+        for h, v in at:
+            runs.append((acc, h - prev))
+            acc -= v
+            prev = h
+        runs.append((acc, r - prev))
+        lam[a] = tuple(runs)
     return lam
+
+
+def _expand(lam: dict[str, _Runs]) -> PartitionMap:
+    """The partition map written out part by part."""
+    out: PartitionMap = {}
+    for a, runs in lam.items():
+        parts: list[int] = []
+        for p, m in runs:
+            parts += [p] * m
+        out[a] = tuple(parts)
+    return out
 
 
 def _check_partitions(q: Quiver, lam: PartitionMap) -> None:
@@ -219,44 +264,88 @@ def si_membership(
     """
     _check_partitions(q, lam)
     check_beta(q, beta)
-    return _membership(lam, q, beta, _incidence_at(color_incidence(q, c)))
+    runs = {
+        a: tuple((p, sum(1 for _ in g)) for p, g in groupby(parts))
+        for a, parts in lam.items()
+    }
+    length = {a: len(parts) for a, parts in lam.items()}
+    return _membership(runs, _vertex_plan(q, beta, color_incidence(q, c), length))
 
 
-def _incidence_at(
-    inc: dict[tuple[str, str], Incidence]
-) -> dict[str, list[Incidence]]:
-    """Vertex to the incidence pairs of the colors touching it, by color."""
-    at: dict[str, list[Incidence]] = {}
-    for (x, _), pair in inc.items():
-        at.setdefault(x, []).append(pair)
-    return at
+# each vertex in sorted order with its incidence pairs, by color, as
+# (out arrow, in arrow, padding); no pairs where nothing is constrained
+_Pair = tuple[Optional[str], Optional[str], int]
+_VertexPlan = list[tuple[str, list[_Pair]]]
 
 
-def _membership(
-    lam: PartitionMap,
+def _vertex_plan(
     q: Quiver,
     beta: dict[str, int],
-    at: dict[str, list[Incidence]],
-) -> MembershipResult:
-    """si_membership on checked inputs, with the incidence grouped by vertex."""
+    inc: dict[tuple[str, str], Incidence],
+    length: dict[str, int],
+) -> _VertexPlan:
+    """The incidence vectors' layout at each vertex: the out arrow's parts,
+    then zeros up to beta, then the in arrow's parts negated and reversed,
+    for partitions with the given number of parts at each arrow. A negative
+    padding means the parts exceed the dimension."""
+    at: dict[str, list[_Pair]] = {}
+    for (x, _), pair in inc.items():
+        out_a, in_a = pair.out_arrow, pair.in_arrow
+        pad = beta[x]
+        pad -= length[out_a] if out_a else 0
+        pad -= length[in_a] if in_a else 0
+        at.setdefault(x, []).append((out_a, in_a, pad))
+    return [(x, at.get(x, []) if beta[x] else []) for x in sorted(q.vertices)]
+
+
+def _mirror_sums(
+    vec: list[tuple[int, int]], other: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Runs of entry i of vec plus entry n+1-i of other, both of length n:
+    vec's runs merged with other's runs read backward."""
+    sums = []
+    rest = reversed(other)
+    q = n = 0
+    for p, m in vec:
+        while m:
+            if not n:
+                q, n = next(rest)
+            step = min(m, n)
+            sums.append((p + q, step))
+            m -= step
+            n -= step
+    return sums
+
+
+def _membership(lam: dict[str, _Runs], plan: _VertexPlan) -> MembershipResult:
+    """si_membership on checked partition runs laid out by plan."""
     sigma: dict[str, int] = {}
-    for x in sorted(q.vertices):
-        pairs = at.get(x, [])
-        bx = beta[x]
-        if not pairs or bx == 0:
+    for x, pairs in plan:
+        if not pairs:
             sigma[x] = 0
             continue
-        vecs = [_incidence_vector(lam, pair, bx, x) for pair in pairs]
+        vecs = []
+        for out_a, in_a, pad in pairs:
+            if pad < 0:
+                raise InputError(f"partition parts exceed the dimension at vertex {x}")
+            vec = list(lam[out_a]) if out_a else []
+            if pad:
+                vec.append((0, pad))
+            if in_a:
+                vec += [(-p, m) for p, m in reversed(lam[in_a])]
+            vecs.append(vec)
         if len(vecs) == 1:
             sums = vecs[0]
         elif len(vecs) == 2:
-            sums = list(map(add, vecs[0], reversed(vecs[1])))
+            sums = _mirror_sums(vecs[0], vecs[1])
         else:
             raise InputError(f"vertex {x} carries more than two colors")
-        sig = sums[0]
-        if sums.count(sig) != bx:
-            i = next(i for i, s in enumerate(sums) if s != sig)
-            return MembershipResult(False, witness=(x, i + 1))
+        sig = sums[0][0]
+        entry = 1
+        for s, m in sums:
+            if s != sig:
+                return MembershipResult(False, witness=(x, entry))
+            entry += m
         sigma[x] = sig
     return MembershipResult(True, sigma=sigma)
 
@@ -309,11 +398,6 @@ def roundtrip_uy(
 
 # ---------------------------------------------------------------------------
 # degrees and bounds
-
-def generator_degree(lam: PartitionMap) -> int:
-    """Total size of all partitions in the map."""
-    return sum(sum(parts) for parts in lam.values())
-
 
 def degree_bounds(q: Quiver, r: dict[str, int]) -> tuple[int, int]:
     """Degree ceilings for generators and relations of the invariant ring.
@@ -398,25 +482,30 @@ class SiPresentation:
 
 def _translate(
     ctx: PegContext,
-    at: dict[str, list[Incidence]],
+    plan: _VertexPlan,
     name: str,
     kind: str,
     u: tuple[int, ...],
     y: tuple[int, ...],
+    bands: Iterable[tuple[int, int]],
     gen_bound: int,
 ) -> SiGenerator:
-    vals = _values_by_component(ctx, u, y)
-    lam = _partitions(ctx, u, vals)
-    deg = generator_degree(lam)
-    mem = _membership(lam, ctx.q, ctx.beta, at)
+    """The generator (u, y), whose nonzero band values bands gives as
+    (component index, value) pairs."""
+    jumps = _jumps(ctx, u, bands)
+    lam = _partition_runs(ctx, u, jumps)
+    mem = _membership(lam, plan)
     require(
         mem.ok, f"generator {name} fails the weight equations at {mem.witness}"
     )
+    deg = sum(p * m for runs in lam.values() for p, m in runs)
     require(
         deg <= gen_bound,
         f"generator {name} has degree {deg} above the bound {gen_bound}",
     )
-    return SiGenerator(name, kind, u, y, lam, deg, mem.sigma, tuple(vals))
+    return SiGenerator(
+        name, kind, u, y, _expand(lam), deg, mem.sigma, _grade(ctx, jumps)
+    )
 
 
 def si_presentation(
@@ -443,16 +532,20 @@ def si_presentation(
     band_vars = tuple(f"y{k + 1}" for k in range(nb))
     zero_y = (0,) * nb
     zero_u = (0,) * ctx.extract.system.num_vars
-    at = _incidence_at(ctx.graph.inc)
+    plan = _vertex_plan(q, beta, ctx.graph.inc, r)
 
     records = []
     for g in pres.generators:
         records.append(
-            _translate(ctx, at, g.name, g.kind, g.vector, zero_y, gen_bound)
+            _translate(ctx, plan, g.name, g.kind, g.vector, zero_y, (), gen_bound)
         )
-    for k, name in enumerate(band_vars):
-        y = tuple(1 if i == k else 0 for i in range(nb))
-        records.append(_translate(ctx, at, name, "band_var", zero_u, y, gen_bound))
+    for k, (name, slot) in enumerate(zip(band_vars, ctx.band_slots)):
+        y = zero_y[:k] + (1,) + zero_y[k + 1:]
+        records.append(
+            _translate(
+                ctx, plan, name, "band_var", zero_u, y, ((slot, 1),), gen_bound
+            )
+        )
 
     by_name = {rec.name: rec.degree for rec in records}
     for rel in pres.relations:

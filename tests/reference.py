@@ -7,14 +7,16 @@ box scan, generators by subtracting points inside the box, decompositions
 and relation congruence by search, relations by joining every fiber's
 classes. The tests wire them against the referee and the engine. The
 samplers draw random colored quivers, and rank components that reach the
-relation path. Nothing here imports the engine it is compared with.
+relation path. The quiver side's partition maps and vertex equations are
+written out part by part, padded to the rank and to beta. Nothing here
+imports the engine it is compared with.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from gentle_si.errors import InputError, require
 from gentle_si.matching import MatchingSystem
@@ -333,3 +335,83 @@ def maximal_rank_sequences_bruteforce(
             maximal.append(p)
     maximal.sort()
     return [dict(zip(names, pt)) for pt in maximal]
+
+
+# ---------------------------------------------------------------------------
+# partition maps part by part
+
+
+def dense_component_values(ctx, u: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Jump value of (u, y) on each component of a PegContext, every
+    component listed: strings read u through ctx.readers, bands read y."""
+    vals = [0] * len(ctx.extract.components)
+    for idx, v in zip(ctx.band_slots, y):
+        vals[idx] = v
+    for uj, comps in zip(u, ctx.readers):
+        if uj:
+            for idx in comps:
+                vals[idx] += uj
+    return vals
+
+
+def dense_partitions(
+    ctx, u: Sequence[int], vals: Sequence[int]
+) -> dict[str, tuple[int, ...]]:
+    """The partition map of (u, y) built part by part, r(a) parts at each
+    arrow: the bottom part is u(a), and part i adds to part i+1 the jump
+    of the component through a's tail-side root at height i."""
+    lam = {}
+    for a in ctx.q.arrow_names():
+        if ctx.r[a] == 0:
+            lam[a] = ()
+            continue
+        acc = u[ctx.var_pos[a]]
+        parts = [acc]
+        for idx in reversed(ctx.arrow_comps[a]):
+            acc += vals[idx]
+            parts.append(acc)
+        lam[a] = tuple(reversed(parts))
+    return lam
+
+
+def _incidence_vector(lam, pair, bx: int, x: str) -> list[int]:
+    out_parts = list(lam[pair.out_arrow]) if pair.out_arrow else []
+    in_parts = list(lam[pair.in_arrow]) if pair.in_arrow else []
+    if len(out_parts) + len(in_parts) > bx:
+        raise InputError(f"partition parts exceed the dimension at vertex {x}")
+    pad = bx - len(out_parts) - len(in_parts)
+    return out_parts + [0] * pad + [-p for p in reversed(in_parts)]
+
+
+def dense_membership(
+    lam: dict[str, tuple[int, ...]],
+    q: Quiver,
+    c: Coloring,
+    beta: dict[str, int],
+) -> tuple[bool, Optional[dict[str, int]], Optional[tuple[str, int]]]:
+    """(ok, sigma, witness) of the vertex equations, on incidence vectors
+    padded with zeros to beta: sigma on success, else the first bad
+    (vertex, entry), vertices in sorted order and entries upward."""
+    at: dict[str, list] = {}
+    for (x, _), pair in color_incidence(q, c).items():
+        at.setdefault(x, []).append(pair)
+    sigma = {}
+    for x in sorted(q.vertices):
+        pairs = at.get(x, [])
+        bx = beta[x]
+        if not pairs or bx == 0:
+            sigma[x] = 0
+            continue
+        vecs = [_incidence_vector(lam, pair, bx, x) for pair in pairs]
+        if len(vecs) == 1:
+            sums = vecs[0]
+        elif len(vecs) == 2:
+            sums = [p + q for p, q in zip(vecs[0], reversed(vecs[1]))]
+        else:
+            raise InputError(f"vertex {x} carries more than two colors")
+        sig = sums[0]
+        if sums.count(sig) != bx:
+            i = next(i for i, s in enumerate(sums) if s != sig)
+            return False, None, (x, i + 1)
+        sigma[x] = sig
+    return True, sigma, None

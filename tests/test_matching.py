@@ -1019,13 +1019,17 @@ def _side_targets(graph, arms, h_walks):
 
 def test_count_width_bounds_every_decomposition():
     """Arms and H walks have total at most 2m, and every decomposition of
-    M generators has 2^(w-1) > 2M at the width presentation chooses. A
-    width too narrow for the longest decomposition raises, not aliases."""
+    M generators has 2^(w-1) > 2M at the width presentation chooses. In
+    each of the X and the H pass, a width too narrow for that pass's own
+    longest decomposition raises, not aliases."""
     for walk_total in range(1, 200):
         w = _count_width(walk_total)
         assert 1 << (w - 1) > 2 * walk_total
     systems = [_chain_system(k, w) for k, w in ((3, 2), (4, 2), (3, 3))]
     systems += [_chain_system(1, n) for n in range(2, 9)]
+    # the chains have no H configuration; these two do
+    systems += [closing_system(), eleven_var_system()]
+    raised = {"X": 0, "H": 0}
     for sys_ in systems:
         graph = build_graph(sys_)
         best, arms, h_walks = _walks(graph)
@@ -1039,10 +1043,22 @@ def test_count_width_bounds_every_decomposition():
         assert set(counts) == _side_targets(graph, arms, h_walks)
         longest = max(len(_decoded(c, counts.width)) for c in counts.values())
         assert 1 << (counts.width - 1) > 2 * longest
-        narrow = _SideCounts(gens, (2 * longest).bit_length())
-        with pytest.raises(InvariantError, match="overflow"):
-            _x_candidates(graph, arms, narrow)
-            _h_candidates(graph, h_walks, narrow)
+        passes = {
+            "X": lambda c: _x_candidates(graph, arms, c),
+            "H": lambda c: _h_candidates(graph, h_walks, c),
+        }
+        for kind, form in passes.items():
+            own = _side_counts(sys_, gens)
+            form(own)
+            if not own:
+                continue
+            longest = max(len(_decoded(c, own.width)) for c in own.values())
+            narrow = _SideCounts(gens, (2 * longest).bit_length())
+            with pytest.raises(InvariantError, match="overflow"):
+                form(narrow)
+            raised[kind] += 1
+    assert raised["X"] == len(systems)
+    assert raised["H"] >= 1
 
 
 def test_closing_presentation_packs_each_side_once(monkeypatch):

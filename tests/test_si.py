@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     RUNNING_GENERATORS,
@@ -14,7 +17,12 @@ from fixtures import (
     relation_degree,
     running_example,
 )
-from reference import random_tight_component
+from reference import (
+    dense_component_values,
+    dense_membership,
+    dense_partitions,
+    random_tight_component,
+)
 
 import gentle_si.si as si_module
 from gentle_si import oracle
@@ -26,7 +34,6 @@ from gentle_si.si import (
     component_labels,
     component_values,
     degree_bounds,
-    generator_degree,
     lambda_from_uy,
     peg_context,
     roundtrip_uy,
@@ -39,6 +46,17 @@ from gentle_si.si import (
 def running_context():
     q, c, beta, r = running_example()
     return peg_context(q, c, beta, r), q, c, beta, r
+
+
+def scaled_running(k):
+    """The running example with every dimension and rank times k."""
+    q, c, beta, r = running_example()
+    return q, c, {x: b * k for x, b in beta.items()}, {a: v * k for a, v in r.items()}
+
+
+def degree(lam):
+    """Total size of all partitions in the map."""
+    return sum(map(sum, lam.values()))
 
 
 def add_maps(lam1, lam2):
@@ -170,10 +188,7 @@ def test_running_relation_degrees_within_bound():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scaled_running_relation_degrees_within_bound(k):
-    q, c, beta, r = running_example()
-    beta = {v: k * b for v, b in beta.items()}
-    r = {a: k * x for a, x in r.items()}
-    pres = si_presentation(q, c, beta, r)
+    pres = si_presentation(*scaled_running(k))
     degrees = [relation_degree(pres, rel) for rel in pres.matching.relations]
     assert degrees == [10 * k]
     assert max(degrees) <= pres.degree_bound_rels
@@ -289,7 +304,7 @@ def test_lambda_and_weight_are_additive():
         s2 = si_membership(lam2, q, c, beta).sigma
         s12 = si_membership(lam12, q, c, beta).sigma
         assert s12 == {x: s1[x] + s2[x] for x in s1}
-        assert generator_degree(lam12) == generator_degree(lam1) + generator_degree(lam2)
+        assert degree(lam12) == degree(lam1) + degree(lam2)
 
 
 def test_membership_agrees_with_oracle_on_random_maps():
@@ -320,6 +335,95 @@ def test_roundtrip_requires_full_partitions():
     lam["a1"] = (0,)
     with pytest.raises(InputError):
         roundtrip_uy(ctx, lam)
+
+
+# ---------------------------------------------------------------------------
+# partition runs against the dense reference
+
+def assert_matches_dense(pres, q, c, beta):
+    """Every generator's partitions, degree, sigma and grade are those the
+    reference builds part by part, padded to the rank and to beta. So is
+    the partition map of the sum of all generators, whose partitions step
+    at many heights."""
+    ctx = pres.context
+    for g in pres.generators:
+        vals = dense_component_values(ctx, g.u, g.y)
+        lam = dense_partitions(ctx, g.u, vals)
+        assert g.partitions == lam
+        assert lambda_from_uy(ctx, g.u, g.y) == lam
+        assert g.degree == degree(lam)
+        assert dense_membership(lam, q, c, beta) == (True, g.sigma, None)
+        assert g.grade == tuple(vals) == component_values(ctx, g.u, g.y)
+    if not pres.generators:
+        return
+    u = [sum(col) for col in zip(*(g.u for g in pres.generators))]
+    y = [sum(col) for col in zip(*(g.y for g in pres.generators))]
+    lam = dense_partitions(ctx, u, dense_component_values(ctx, u, y))
+    assert lambda_from_uy(ctx, u, y) == lam
+    assert si_membership(lam, q, c, beta).ok
+
+
+def test_runs_match_dense_reference_on_random_components():
+    presented = 0
+    for seed in range(600):
+        q, c, beta, r = random_tight_component(random.Random(seed))
+        with warnings.catch_warnings():
+            # a draw whose r is not maximal presents a smaller stratum
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                pres = si_presentation(q, c, beta, r)
+            except InputError:  # a vertex carries three colors
+                continue
+        assert_matches_dense(pres, q, c, beta)
+        presented += 1
+    assert presented >= 500
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_runs_match_dense_reference_on_scaled_running(k):
+    q, c, beta, r = scaled_running(k)
+    assert_matches_dense(si_presentation(q, c, beta, r), q, c, beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_membership_on_runs_matches_dense_after_one_part_changes(data):
+    """Change one part of one partition of a generator, keeping it weakly
+    decreasing; ok, sigma and the witness are the dense reference's."""
+    q, c, beta, r = data.draw(
+        st.sampled_from([determinant_example(), running_example(), scaled_running(3)])
+    )
+    g = data.draw(st.sampled_from(si_presentation(q, c, beta, r).generators))
+    lam = dict(g.partitions)
+    a = data.draw(st.sampled_from(sorted(a for a, parts in lam.items() if parts)))
+    parts = list(lam[a])
+    i = data.draw(st.integers(0, len(parts) - 1))
+    lo = parts[i + 1] if i + 1 < len(parts) else 0
+    hi = parts[i - 1] if i else parts[0] + 3
+    parts[i] = data.draw(st.integers(lo, hi))
+    lam[a] = tuple(parts)
+    res = si_membership(lam, q, c, beta)
+    assert (res.ok, res.sigma, res.witness) == dense_membership(lam, q, c, beta)
+
+
+def test_runs_at_rank_zero_arrows_and_dimension_zero_vertices():
+    """a2 has rank 0 and its head, vertex 3, dimension 0: a2 has no runs,
+    and nothing is constrained at vertex 3, nor measured against its
+    dimension."""
+    q, c, _ = path_example()
+    beta = {"1": 1, "2": 1, "3": 0}
+    pres = si_presentation(q, c, beta, {"a1": 1, "a2": 0})
+    assert_matches_dense(pres, q, c, beta)
+    assert generator_named(pres, "g1").partitions == {"a1": (1,), "a2": ()}
+    assert generator_named(pres, "g1").sigma == {"1": 1, "2": -1, "3": 0}
+    for lam in ({"a1": (0,), "a2": ()}, {"a1": (2,), "a2": ()}):
+        res = si_membership(lam, q, c, beta)
+        assert (res.ok, res.sigma, res.witness) == dense_membership(lam, q, c, beta)
+    lam = {"a1": (1,), "a2": (1,)}  # two parts at vertex 2, of dimension 1
+    with pytest.raises(InputError, match="exceed the dimension at vertex 2"):
+        si_membership(lam, q, c, beta)
+    with pytest.raises(InputError, match="exceed the dimension at vertex 2"):
+        dense_membership(lam, q, c, beta)
 
 
 # ---------------------------------------------------------------------------
