@@ -3,8 +3,9 @@
 The graph lives on labeled simple roots: one root per (vertex, color)
 incidence pair and internal index 1..beta_x - 1. Two edge kinds connect
 them, mirror pairs at a two-color vertex and index-reflected pairs along
-each arrow of rank >= 2. Components decompose into strings (paths with two
-endpoints), bands (alternating cycles) and isolated roots; the string
+each arrow of rank >= 2. A root has at most one edge of each kind, so
+components are strings (paths with two endpoints), bands (alternating
+cycles) and isolated roots, and each is found by one walk; the string
 endpoints carry the coefficient data that turns the graph into a matching
 system over the rank-positive arrows.
 
@@ -44,21 +45,35 @@ class Root(NamedTuple):
 @dataclass
 class PegGraph:
     """The root graph, with the color incidence its roots are read from and
-    the slack beta(x) - r(in) - r(out) at each incidence pair."""
+    the slack beta(x) - r(in) - r(out) at each incidence pair.
+
+    Roots are numbered by their place in roots, which is sorted: root i at
+    pair (x, s) is first[(x, s)] + i - 1. A root has at most one edge of
+    each kind, so each kind is a partner array over the numbers, -1 where a
+    root has no edge of it: vpart for the mirror pairs, cpart for the
+    index-reflected pairs along arrows.
+    """
 
     roots: tuple[Root, ...]
     vertex_edges: tuple[tuple[Root, Root], ...]
     colored_edges: tuple[tuple[Root, Root, str], ...]
     inc: dict[tuple[str, str], Incidence] = field(repr=False)
     slack: dict[tuple[str, str], int] = field(repr=False)
-    _adj: dict[Root, list[tuple[Root, str, Optional[str]]]] = field(repr=False)
+    first: dict[tuple[str, str], int] = field(repr=False)
+    vpart: list[int] = field(repr=False)
+    cpart: list[int] = field(repr=False)
 
-    def neighbors(self, root: Root) -> list[tuple[Root, str, Optional[str]]]:
-        """(other root, edge kind, arrow id or None) pairs, sorted."""
-        return self._adj[root]
+    def _number(self, root) -> int:
+        """The number of root, or InputError naming it if it is none."""
+        if isinstance(root, tuple) and len(root) == 3 and type(root[2]) is int:
+            k = self.first.get(root[:2], -len(self.roots)) + root[2] - 1
+            if 0 <= k < len(self.roots) and self.roots[k] == root:
+                return k
+        raise InputError(f"{root} is not a root of the graph")
 
     def degree(self, root: Root) -> int:
-        return len(self._adj[root])
+        k = self._number(root)
+        return (self.vpart[k] >= 0) + (self.cpart[k] >= 0)
 
 
 def build_peg(
@@ -75,51 +90,52 @@ def build_peg(
         if len(colors) > 2:
             raise InputError(f"vertex {v} carries {len(colors)} colors")
 
-    roots = []
+    first: dict[tuple[str, str], int] = {}
+    roots: list[Root] = []
     for (x, s) in inc:
-        for i in range(1, beta[x]):
-            roots.append(Root(x, s, i))
-    root_set = set(roots)
+        first[(x, s)] = len(roots)
+        roots += [Root(x, s, i) for i in range(1, beta[x])]
+    n = len(roots)
 
-    vertex_edges = set()
+    # mirror pairs: (x, s1, i) <-> (x, s2, beta(x) - i)
+    vpart = [-1] * n
     for x, colors in colors_at.items():
-        if len(colors) != 2:
-            continue
-        s1, s2 = colors
-        for i in range(1, beta[x]):
-            pair = tuple(sorted([Root(x, s1, i), Root(x, s2, beta[x] - i)]))
-            vertex_edges.add(pair)
+        if len(colors) == 2 and beta[x] > 1:
+            f1, f2 = first[(x, colors[0])], first[(x, colors[1])]
+            m = beta[x] - 1
+            vpart[f1:f1 + m] = range(f2 + m - 1, f2 - 1, -1)
+            vpart[f2:f2 + m] = range(f1 + m - 1, f1 - 1, -1)
 
-    colored_edges = set()
+    # index-reflected pairs: (tail, s, i) <-> (head, s, beta(head) - i), i < r(a)
+    cpart = [-1] * n
+    carrow: list[Optional[str]] = [None] * n
     for a in q.arrows:
+        ra = r[a.name]
+        if ra < 2:
+            continue
+        off = max(1, min(beta[a.tail], beta[a.head]))
+        if off < ra:
+            raise InvariantError(f"edge {a.name}:{off} off the root set")
         s = c.color(a.name)
-        for i in range(1, r[a.name]):
-            u = Root(a.tail, s, i)
-            w = Root(a.head, s, beta[a.head] - i)
-            if u not in root_set or w not in root_set:
-                raise InvariantError(f"edge {a.name}:{i} off the root set")
-            lo, hi = sorted([u, w])
-            colored_edges.add((lo, hi, a.name))
+        t = first[(a.tail, s)]
+        h = first[(a.head, s)] + beta[a.head] - 2  # the head root of i = 1
+        cpart[t:t + ra - 1] = range(h, h - ra + 1, -1)
+        cpart[h - ra + 2:h + 1] = range(t + ra - 2, t - 1, -1)
+        carrow[t:t + ra - 1] = carrow[h - ra + 2:h + 1] = [a.name] * (ra - 1)
 
-    adj: dict[Root, list[tuple[Root, str, Optional[str]]]] = {rt: [] for rt in roots}
-    for u, w in vertex_edges:
-        adj[u].append((w, "vertex", None))
-        adj[w].append((u, "vertex", None))
-    for u, w, a in colored_edges:
-        adj[u].append((w, "colored", a))
-        adj[w].append((u, "colored", a))
-    for rt, nbrs in adj.items():
-        kinds = [k for _, k, _ in nbrs]
-        if kinds.count("vertex") > 1 or kinds.count("colored") > 1:
-            raise InvariantError(f"root {rt} has two edges of one kind")
-        nbrs.sort()
     return PegGraph(
         roots=tuple(roots),
-        vertex_edges=tuple(sorted(vertex_edges)),
-        colored_edges=tuple(sorted(colored_edges)),
+        vertex_edges=tuple(
+            (roots[i], roots[j]) for i, j in enumerate(vpart) if j > i
+        ),
+        colored_edges=tuple(
+            (roots[i], roots[j], carrow[i]) for i, j in enumerate(cpart) if j > i
+        ),
         inc=inc,
         slack=slack,
-        _adj=adj,
+        first=first,
+        vpart=vpart,
+        cpart=cpart,
     )
 
 
@@ -128,17 +144,25 @@ class PegComponent:
     kind: str  # "string", "band", "isolated"
     roots: tuple[Root, ...]
     endpoints: tuple[Root, ...]  # two walk ends for strings, empty otherwise
+    numbers: tuple[int, ...] = field(repr=False, compare=False)  # of roots, in order
 
 
-def _walk_string(graph: PegGraph, start: Root) -> list[Root]:
+def _walk(
+    graph: PegGraph, start: int, mirror: bool, seen: bytearray
+) -> tuple[list[int], int]:
+    """Roots from start, by a mirror edge first when mirror and then by
+    alternate kinds, each marked seen, up to a root with no edge of the next
+    kind or one already seen; that root is returned, -1 if none."""
+    vpart, cpart = graph.vpart, graph.cpart
     walk = [start]
-    prev = None
-    while True:
-        nxt = [n for n, _, _ in graph.neighbors(walk[-1]) if n != prev]
-        if not nxt:
-            return walk
-        prev = walk[-1]
-        walk.append(nxt[0])
+    seen[start] = 1
+    nxt = vpart[start] if mirror else cpart[start]
+    while nxt >= 0 and not seen[nxt]:
+        seen[nxt] = 1
+        walk.append(nxt)
+        mirror = not mirror
+        nxt = vpart[nxt] if mirror else cpart[nxt]
+    return walk, nxt
 
 
 def components(graph: PegGraph) -> list[PegComponent]:
@@ -149,47 +173,42 @@ def components(graph: PegGraph) -> list[PegComponent]:
     minimum over even rotations and both directions; components are listed
     by smallest root.
     """
-    seen: set[Root] = set()
-    out = []
-    for root in graph.roots:
-        if root in seen:
+    roots, vpart, cpart = graph.roots, graph.vpart, graph.cpart
+    n = len(roots)
+    for part in (vpart, cpart):
+        unpaired = part.count(-1)
+        if len(set(part)) - (unpaired > 0) != n - unpaired:
+            twice = min(j for j, k in Counter(part).items() if j >= 0 and k > 1)
+            raise InvariantError(f"root {roots[twice]} has two edges of one kind")
+
+    seen = bytearray(n)
+    found = []
+    for e in range(n):
+        if seen[e] or (vpart[e] >= 0 and cpart[e] >= 0):
             continue
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop()
-            for n, _, _ in graph.neighbors(cur):
-                if n not in comp:
-                    comp.add(n)
-                    frontier.append(n)
-        seen |= comp
-        ends = sorted(rt for rt in comp if graph.degree(rt) <= 1)
-        if len(comp) == 1 and not graph.degree(root):
-            out.append(PegComponent("isolated", (root,), ()))
+        if vpart[e] < 0 and cpart[e] < 0:
+            seen[e] = 1
+            found.append((e, PegComponent("isolated", (roots[e],), (), (e,))))
             continue
-        if ends:
-            if len(ends) != 2:
-                raise InvariantError(f"string component with ends {ends}")
-            walk = _walk_string(graph, ends[0])
-            require(walk[-1] == ends[1], "string walk misses its second end")
-            out.append(PegComponent("string", tuple(walk), (walk[0], walk[-1])))
-        else:
-            start = min(comp)
-            second = min(n for n, _, _ in graph.neighbors(start))
-            walk = [start, second]
-            while True:
-                nxt = [n for n, _, _ in graph.neighbors(walk[-1]) if n != walk[-2]]
-                require(len(nxt) == 1, "band root without a unique successor")
-                if nxt[0] == start:
-                    break
-                walk.append(nxt[0])
-            require(
-                len(walk) % 2 == 0 and len(walk) >= 4,
-                f"band of odd or short length {len(walk)}",
-            )
-            out.append(PegComponent("band", tuple(walk), ()))
-    out.sort(key=lambda cp: min(cp.roots))
-    return out
+        walk, stop = _walk(graph, e, vpart[e] >= 0, seen)
+        if stop >= 0:
+            raise InvariantError(f"string component with ends {[roots[e]]}")
+        path = tuple([roots[k] for k in walk])
+        comp = PegComponent("string", path, (path[0], path[-1]), tuple(walk))
+        found.append((min(walk), comp))
+    start = seen.find(0)
+    while start >= 0:
+        walk, stop = _walk(graph, start, vpart[start] < cpart[start], seen)
+        require(stop == start, "band root without a unique successor")
+        require(
+            len(walk) % 2 == 0 and len(walk) >= 4,
+            f"band of odd or short length {len(walk)}",
+        )
+        comp = PegComponent("band", tuple([roots[k] for k in walk]), (), tuple(walk))
+        found.append((start, comp))
+        start = seen.find(0, start + 1)
+    found.sort(key=lambda pair: pair[0])
+    return [comp for _, comp in found]
 
 
 @dataclass(frozen=True)
@@ -210,9 +229,10 @@ def classify_endpoints(
     graph: PegGraph, beta: dict[str, int], r: dict[str, int]
 ) -> list[Endpoint]:
     ncolors = Counter(x for x, _ in graph.inc)
+    vpart, cpart = graph.vpart, graph.cpart
     out = []
-    for root in graph.roots:
-        if graph.degree(root) > 1:
+    for k, root in enumerate(graph.roots):
+        if vpart[k] >= 0 and cpart[k] >= 0:
             continue
         pair = graph.inc[(root.vertex, root.color)]
         ro = r[pair.out_arrow] if pair.out_arrow else 0
@@ -235,11 +255,14 @@ def theta(graph: PegGraph, root) -> Root:
     """The opposite endpoint of the string through root."""
     if isinstance(root, Endpoint):
         root = root.root
-    if graph.degree(root) == 0:
+    degree = graph.degree(root)
+    if degree == 0:
         raise InputError(f"{root} is isolated, not on a string")
-    if graph.degree(root) > 1:
+    if degree > 1:
         raise InputError(f"{root} is interior, not an endpoint")
-    return _walk_string(graph, root)[-1]
+    k = graph._number(root)
+    walk, _ = _walk(graph, k, graph.vpart[k] >= 0, bytearray(len(graph.roots)))
+    return graph.roots[walk[-1]]
 
 
 @dataclass

@@ -67,13 +67,14 @@ def peg_context(
     graph = build_peg(q, c, beta, r)
     extract = extract_matching_system(graph, q, beta, r)
     comps = extract.components
-    comp_of = {rt: idx for idx, cp in enumerate(comps) for rt in cp.roots}
-    arrow_comps = {
-        a.name: tuple(
-            comp_of[Root(a.tail, c.color(a.name), i)] for i in range(1, r[a.name])
-        )
-        for a in q.arrows
-    }
+    comp_of = [0] * len(graph.roots)
+    for idx, cp in enumerate(comps):
+        for k in cp.numbers:
+            comp_of[k] = idx
+    arrow_comps = {}
+    for a in q.arrows:
+        t = graph.first[(a.tail, c.color(a.name))]  # the tail root of height 1
+        arrow_comps[a.name] = tuple(comp_of[t:t + r[a.name] - 1])
     positions: list[list[tuple[str, int]]] = [[] for _ in comps]
     for a, idxs in arrow_comps.items():
         for h, idx in enumerate(idxs, 1):

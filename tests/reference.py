@@ -8,17 +8,20 @@ and relation congruence by search, relations by joining every fiber's
 classes. The tests wire them against the referee and the engine. The
 samplers draw random colored quivers, and rank components that reach the
 relation path. The quiver side's partition maps and vertex equations are
-written out part by part, padded to the rank and to beta. Nothing here
-imports the engine it is compared with.
+written out part by part, padded to the rank and to beta, and the root
+graph is built as a general graph, with a search per component. Nothing
+here imports the engine it is compared with.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from gentle_si.errors import InputError, require
+from gentle_si.errors import InputError, InvariantError, require
 from gentle_si.matching import MatchingSystem
 from gentle_si.oracle import (
     _classes,
@@ -415,3 +418,173 @@ def dense_membership(
             return False, None, (x, i + 1)
         sigma[x] = sig
     return True, sigma, None
+
+
+# ---------------------------------------------------------------------------
+# the root graph as a general graph
+
+
+@dataclass
+class ReferencePeg:
+    """The root graph on (vertex, color, index) tuples, with the color
+    incidence and a sorted (other root, edge kind, arrow id or None) list
+    at each root."""
+
+    roots: tuple
+    vertex_edges: tuple
+    colored_edges: tuple
+    inc: dict
+    adj: dict
+
+    def neighbors(self, root):
+        return self.adj[root]
+
+    def degree(self, root) -> int:
+        return len(self.adj[root])
+
+
+def reference_peg(q: Quiver, c: Coloring, beta: dict, r: dict) -> ReferencePeg:
+    """The root graph from Root-keyed sets, an adjacency dict and a sort at
+    each root, with the same checks and messages as the engine."""
+    inc = color_incidence(q, c)
+    slack = {
+        (x, s): beta[x] - r.get(pair.in_arrow, 0) - r.get(pair.out_arrow, 0)
+        for (x, s), pair in inc.items()
+    }
+    bad = [key for key, room in slack.items() if room < 0]
+    if bad:
+        raise InputError(f"not a rank sequence, violations at {bad}")
+    colors_at: dict[str, list[str]] = {v: [] for v in q.vertices}
+    for x, s in inc:
+        colors_at[x].append(s)
+    for v, colors in colors_at.items():
+        if len(colors) > 2:
+            raise InputError(f"vertex {v} carries {len(colors)} colors")
+
+    roots = []
+    for (x, s) in inc:
+        for i in range(1, beta[x]):
+            roots.append((x, s, i))
+    root_set = set(roots)
+
+    vertex_edges = set()
+    for x, colors in colors_at.items():
+        if len(colors) != 2:
+            continue
+        s1, s2 = colors
+        for i in range(1, beta[x]):
+            pair = tuple(sorted([(x, s1, i), (x, s2, beta[x] - i)]))
+            vertex_edges.add(pair)
+
+    colored_edges = set()
+    for a in q.arrows:
+        s = c.color(a.name)
+        for i in range(1, r[a.name]):
+            u = (a.tail, s, i)
+            w = (a.head, s, beta[a.head] - i)
+            if u not in root_set or w not in root_set:
+                raise InvariantError(f"edge {a.name}:{i} off the root set")
+            lo, hi = sorted([u, w])
+            colored_edges.add((lo, hi, a.name))
+
+    adj: dict = {rt: [] for rt in roots}
+    for u, w in vertex_edges:
+        adj[u].append((w, "vertex", None))
+        adj[w].append((u, "vertex", None))
+    for u, w, a in colored_edges:
+        adj[u].append((w, "colored", a))
+        adj[w].append((u, "colored", a))
+    for rt, nbrs in adj.items():
+        kinds = [k for _, k, _ in nbrs]
+        if kinds.count("vertex") > 1 or kinds.count("colored") > 1:
+            raise InvariantError(f"root {rt} has two edges of one kind")
+        nbrs.sort()
+    return ReferencePeg(
+        roots=tuple(roots),
+        vertex_edges=tuple(sorted(vertex_edges)),
+        colored_edges=tuple(sorted(colored_edges)),
+        inc=inc,
+        adj=adj,
+    )
+
+
+def _walk_string(graph: ReferencePeg, start) -> list:
+    walk = [start]
+    prev = None
+    while True:
+        nxt = [n for n, _, _ in graph.neighbors(walk[-1]) if n != prev]
+        if not nxt:
+            return walk
+        prev = walk[-1]
+        walk.append(nxt[0])
+
+
+def reference_components(graph: ReferencePeg) -> list[tuple]:
+    """(kind, roots, endpoints) per component, from a search per component:
+    strings run from their smaller endpoint, bands from their smallest root
+    toward its smaller neighbor, components by smallest root."""
+    seen: set = set()
+    out = []
+    for root in graph.roots:
+        if root in seen:
+            continue
+        comp = {root}
+        frontier = [root]
+        while frontier:
+            cur = frontier.pop()
+            for n, _, _ in graph.neighbors(cur):
+                if n not in comp:
+                    comp.add(n)
+                    frontier.append(n)
+        seen |= comp
+        ends = sorted(rt for rt in comp if graph.degree(rt) <= 1)
+        if len(comp) == 1 and not graph.degree(root):
+            out.append(("isolated", (root,), ()))
+            continue
+        if ends:
+            if len(ends) != 2:
+                raise InvariantError(f"string component with ends {ends}")
+            walk = _walk_string(graph, ends[0])
+            require(walk[-1] == ends[1], "string walk misses its second end")
+            out.append(("string", tuple(walk), (walk[0], walk[-1])))
+        else:
+            start = min(comp)
+            second = min(n for n, _, _ in graph.neighbors(start))
+            walk = [start, second]
+            while True:
+                nxt = [n for n, _, _ in graph.neighbors(walk[-1]) if n != walk[-2]]
+                require(len(nxt) == 1, "band root without a unique successor")
+                if nxt[0] == start:
+                    break
+                walk.append(nxt[0])
+            require(
+                len(walk) % 2 == 0 and len(walk) >= 4,
+                f"band of odd or short length {len(walk)}",
+            )
+            out.append(("band", tuple(walk), ()))
+    out.sort(key=lambda cp: min(cp[1]))
+    return out
+
+
+def reference_endpoints(graph: ReferencePeg, beta: dict, r: dict) -> list[tuple]:
+    """(root, class, phi) for each root of degree at most one, in root order."""
+    ncolors = Counter(x for x, _ in graph.inc)
+    out = []
+    for root in graph.roots:
+        if graph.degree(root) > 1:
+            continue
+        x, s, i = root
+        pair = graph.inc[(x, s)]
+        ro = r[pair.out_arrow] if pair.out_arrow else 0
+        ri = r[pair.in_arrow] if pair.in_arrow else 0
+        if i == ro and ro + ri == beta[x]:
+            sub, phi = "a", (pair.out_arrow, pair.in_arrow)
+        elif i == ro:
+            sub, phi = "b", (pair.out_arrow,)
+        elif i == beta[x] - ri:
+            sub, phi = "c", (pair.in_arrow,)
+        else:
+            sub, phi = "d", ()
+        prefix = "I" if ncolors[x] == 2 else "II"
+        out.append((root, prefix + sub, phi))
+    return out

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,10 +16,18 @@ from fixtures import (
     running_example,
     running_system,
 )
-from reference import enumerate_points, random_colored_quiver
+from reference import (
+    enumerate_points,
+    random_colored_quiver,
+    random_tight_component,
+    reference_components,
+    reference_endpoints,
+    reference_peg,
+)
 
 from gentle_si.cli import CliConfig, parse_model, run_command
-from gentle_si.errors import InputError
+from gentle_si.errors import InputError, InvariantError
+from gentle_si.matching import make_system
 from gentle_si.peg import (
     Root,
     build_peg,
@@ -28,9 +37,16 @@ from gentle_si.peg import (
     extract_matching_system,
     theta,
 )
-from gentle_si.quivers import Arrow, Coloring, Quiver, monochromatic_ideal, is_gentle
+from gentle_si.quivers import (
+    Arrow,
+    Coloring,
+    Quiver,
+    coloring_from_gentle,
+    is_gentle,
+    monochromatic_ideal,
+)
 from gentle_si.ranks import maximal_rank_sequences
-from gentle_si.si import si_presentation
+from gentle_si.si import peg_context, si_presentation
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -38,6 +54,16 @@ GOLDENS = pathlib.Path(__file__).parent / "goldens"
 def running_peg():
     q, c, beta, r = running_example()
     return build_peg(q, c, beta, r), q, c, beta, r
+
+
+def neighbors(g, root):
+    """(other root, edge kind, arrow id or None) for each edge at root,
+    sorted, read off the graph's edge tuples alone."""
+    edges = [(u, w, "vertex", None) for u, w in g.vertex_edges]
+    edges += [(u, w, "colored", a) for u, w, a in g.colored_edges]
+    return sorted(
+        (w if u == root else u, kind, a) for u, w, kind, a in edges if root in (u, w)
+    )
 
 
 def test_determinant_peg_shape():
@@ -107,7 +133,7 @@ def test_running_walks_alternate_edge_kinds():
     n = len(band.roots)
     for i in range(n):
         u, w = band.roots[i], band.roots[(i + 1) % n]
-        kind = next(k for nb, k, _ in g.neighbors(u) if nb == w)
+        kind = next(k for nb, k, _ in neighbors(g, u) if nb == w)
         kinds.append(kind)
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
     assert n % 2 == 0
@@ -278,3 +304,152 @@ def test_random_pipelines_extract_valid_systems(seed):
     pres = si_presentation(q, c, beta, r)
     for rel in pres.matching.relations:
         assert relation_degree(pres, rel) <= pres.degree_bound_rels
+
+
+# ---------------------------------------------------------------------------
+# the partner arrays against the root graph built as a general graph
+
+
+def reference_outputs(q, c, beta, r):
+    """Roots, edges, components, endpoints, the extracted equations and the
+    context lookups, read off tests/reference.py's general graph."""
+    g = reference_peg(q, c, beta, r)
+    comps = reference_components(g)
+    eps = reference_endpoints(g, beta, r)
+    phi = {root: ph for root, _, ph in eps}
+    equations, strings, forced = [], {}, {}
+    for kind, roots, ends in comps:
+        if kind == "isolated" and phi[roots[0]]:
+            forced[len(equations)] = roots[0]
+            equations.append((phi[roots[0]], ()))
+        elif kind == "string":
+            lhs = tuple(a for a in phi[ends[0]] if a not in phi[ends[1]])
+            rhs = tuple(a for a in phi[ends[1]] if a not in phi[ends[0]])
+            if lhs or rhs:
+                strings[len(equations)] = ends
+                equations.append((lhs, rhs))
+    var_names = sorted(a for a in q.arrow_names() if r[a] > 0)
+    comp_of = {rt: idx for idx, (_, roots, _) in enumerate(comps) for rt in roots}
+    arrow_comps = {
+        a.name: tuple(
+            comp_of[(a.tail, c.color(a.name), i)] for i in range(1, r[a.name])
+        )
+        for a in q.arrows
+    }
+    positions = [[] for _ in comps]
+    for a, idxs in arrow_comps.items():
+        for h, idx in enumerate(idxs, 1):
+            positions[idx].append((a, h))
+    readers = {a: [] for a in var_names}
+    for idx, (kind, _, ends) in enumerate(comps):
+        if kind == "string":
+            for a in phi[ends[0]]:
+                readers[a].append(idx)
+    return {
+        "edges": (g.roots, g.vertex_edges, g.colored_edges),
+        "components": comps,
+        "endpoints": eps,
+        "system": make_system(equations, var_names=var_names),
+        "strings": strings,
+        "forced": forced,
+        "arrow_comps": arrow_comps,
+        "positions": tuple(map(tuple, positions)),
+        "readers": tuple(tuple(readers[a]) for a in var_names),
+        "band_slots": tuple(i for i, cp in enumerate(comps) if cp[0] == "band"),
+    }
+
+
+def engine_outputs(q, c, beta, r):
+    ctx = peg_context(q, c, beta, r)
+    g, ext = ctx.graph, ctx.extract
+    return {
+        "edges": (g.roots, g.vertex_edges, g.colored_edges),
+        "components": [(cp.kind, cp.roots, cp.endpoints) for cp in ext.components],
+        "endpoints": [
+            (ep.root, ep.cls, ep.phi) for ep in classify_endpoints(g, beta, r)
+        ],
+        "system": ext.system,
+        "strings": {j: (e1.root, e2.root) for j, (e1, e2) in ext.string_index.items()},
+        "forced": {j: ep.root for j, ep in ext.forced_index.items()},
+        "arrow_comps": ctx.arrow_comps,
+        "positions": ctx.positions,
+        "readers": ctx.readers,
+        "band_slots": ctx.band_slots,
+    }
+
+
+def assert_matches_reference(q, c, beta, r):
+    """The engine reads what the general graph reads, or refuses the draw
+    with the same error type and message. Returns whether it was built."""
+    try:
+        expected = reference_outputs(q, c, beta, r)
+    except (InputError, InvariantError) as e:
+        with pytest.raises(type(e)) as info:
+            peg_context(q, c, beta, r)
+        assert str(info.value) == str(e)
+        return False
+    got = engine_outputs(q, c, beta, r)
+    for key, want in expected.items():
+        assert got[key] == want, key
+    return True
+
+
+def scaled(q, c, beta, r, k):
+    return q, c, {v: b * k for v, b in beta.items()}, {a: x * k for a, x in r.items()}
+
+
+def test_partner_arrays_match_the_general_graph_on_random_components():
+    built = 0
+    for seed in range(3000):
+        draw = random_tight_component(random.Random(seed))
+        for k in (1, 3):
+            built += assert_matches_reference(*scaled(*draw, k))
+    assert built >= 5000
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_partner_arrays_match_the_general_graph_on_scaled_running(k):
+    assert assert_matches_reference(*scaled(*running_example(), k))
+
+
+@pytest.mark.parametrize("name", ["running", "determinant", "path"])
+def test_partner_arrays_match_the_general_graph_on_bundled_models(name):
+    model = parse_model((GOLDENS / f"{name}.model").read_text(encoding="utf-8"))
+    q = model.q
+    c = model.coloring or coloring_from_gentle(q, model.relations)
+    ranks = [model.rank] if model.rank else maximal_rank_sequences(q, c, model.beta)
+    for r in ranks:
+        assert assert_matches_reference(q, c, model.beta, r)
+
+
+def test_components_refuse_a_root_paired_twice():
+    g, *_ = running_peg()
+    i = next(k for k, j in enumerate(g.cpart) if j >= 0)
+    x = next(k for k, j in enumerate(g.cpart) if j < 0)
+    g.cpart[x] = g.cpart[i]
+    message = f"root {g.roots[g.cpart[i]]} has two edges of one kind"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        components(g)
+
+
+def test_components_refuse_a_one_ended_string():
+    """A band root that loses its mirror partner, while the partner keeps
+    it, leaves a walk with one end that runs back into itself."""
+    g, *_ = running_peg()
+    x = g.roots.index(Root("1", "a", 1))  # the band's smallest root
+    g.vpart[x] = -1
+    message = f"string component with ends {[Root('1', 'a', 1)]}"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        components(g)
+
+
+@pytest.mark.parametrize(
+    "root", [Root("9", "z", 1), Root("2", "a", 99), Root("2", "a", 0), ("2", "a", "1")]
+)
+def test_roots_outside_the_graph_are_input_errors(root):
+    g, *_ = running_peg()
+    message = f"{root} is not a root of the graph"
+    with pytest.raises(InputError, match=re.escape(message)):
+        g.degree(root)
+    with pytest.raises(InputError, match=re.escape(message)):
+        theta(g, root)

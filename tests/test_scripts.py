@@ -38,3 +38,12 @@ def test_update_goldens_check_names_a_tampered_file(tmp_path, monkeypatch, capsy
         "would change closing_relations.json"
     ]
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_mutant_table_matches_the_source():
+    """Each mutant's old text occurs exactly once in its file and each named
+    test exists, so a change to either cannot leave the table behind
+    silently. The mutants themselves run outside the test suite."""
+    mutants = load_script("mutants")
+    assert mutants.table_errors() == []
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
