@@ -9,12 +9,11 @@ survived. A mutant whose tests do not finish within TIMEOUT seconds counts
 as caught. Equivalent mutants are listed, not run. The named tests first
 run once without a mutant, and must pass.
 
-Usage: python scripts/mutants.py [SUBSTRING ...]
+Usage: python scripts/mutants.py
 
-Only the mutants whose name contains one of the substrings run; with none,
-all do. The exit code is 1 when a mutant that is not argued equivalent
-survives, when the table is out of step with the source (see
-table_errors), or when the named tests fail without a mutant.
+The exit code is 1 when a mutant that is not argued equivalent survives,
+when the table is out of step with the source (see table_errors), or when
+the named tests fail without a mutant.
 """
 
 from __future__ import annotations
@@ -323,11 +322,10 @@ def run_mutant(m: Mutant, work: Path) -> str:
     return {"passed": "survived", "failed": "caught"}.get(verdict, verdict)
 
 
-def run(patterns: list[str]) -> int:
+def run() -> int:
     errors = table_errors()
     for err in errors:
         print(f"table: {err}")
-    chosen = [m for m in MUTANTS if not patterns or any(p in m.name for p in patterns)]
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
@@ -340,11 +338,11 @@ def run(patterns: list[str]) -> int:
                 )
             else:
                 shutil.copy(src, work / name)
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         if tests and run_tests(work, tests) != "passed":
             print("the named tests do not pass without a mutant")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             if m.equivalent:
                 print(f"equivalent  {m.name}: {m.equivalent}")
                 continue
@@ -352,10 +350,10 @@ def run(patterns: list[str]) -> int:
             verdict = run_mutant(m, work)
             survivors += verdict == "survived"
             print(f"{verdict:<11} {m.name} ({time.perf_counter() - start:.0f} s)")
-    ran = sum(not m.equivalent for m in chosen)
-    print(f"{ran - survivors} of {ran} mutants caught, {len(chosen) - ran} equivalent")
+    ran = sum(not m.equivalent for m in MUTANTS)
+    print(f"{ran - survivors} of {ran} mutants caught, {len(MUTANTS) - ran} equivalent")
     return 1 if errors or survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(run(sys.argv[1:]))
+    sys.exit(run())
