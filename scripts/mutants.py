@@ -122,6 +122,35 @@ MUTANTS = (
         "        entry = 0\n",
         ("tests/test_si.py",),
     ),
+    # partitions, y and grade carried as runs to the JSON writer
+    Mutant(
+        "si: band unit run one place late",
+        SI,
+        "((0, k), (1, 1), (0, nb - k - 1))",
+        "((0, k + 1), (1, 1), (0, nb - k - 1))",
+        ("tests/test_si.py::test_running_band_unit_generator_frozen",),
+    ),
+    Mutant(
+        "si: grade without its trailing zero run",
+        SI,
+        "    if n > prev:\n",
+        "    if False:\n",
+        ("tests/test_si.py::test_running_walk_generators_frozen",),
+    ),
+    Mutant(
+        "cli: run writer drops the last run",
+        CLI,
+        "for v, m in obj.pairs])",
+        "for v, m in obj.pairs[:-1]])",
+        ("tests/test_cli.py::test_golden_output",),
+    ),
+    Mutant(
+        "cli: run writer separator cut one character late",
+        CLI,
+        '"[" + body[1:] + nl + "]"',
+        '"[" + body[2:] + nl + "]"',
+        ("tests/test_cli.py::test_golden_output",),
+    ),
     # walk vectors as packed ints
     Mutant(
         "matching: plain comparison for the guarded one",

@@ -58,7 +58,7 @@ from .quivers import (
     validate_relations,
 )
 from .ranks import maximal_rank_sequences
-from .si import PegContext, degree_bounds, peg_context, si_presentation
+from .si import PegContext, Runs, degree_bounds, peg_context, si_presentation
 
 _QUIVER_DIRECTIVES = {"vertex", "arrow", "rel", "beta", "rank"}
 _SYSTEM_DIRECTIVES = {"eq", "var"}
@@ -530,18 +530,20 @@ def run_command(command: str, model: ModelFile, cfg: CliConfig) -> str:
 # ---------------------------------------------------------------------------
 # JSON rendering
 
-# the text of the small ints that fill partitions, y and grade lists
+# the text of the small ints that fill dense int lists
 _INT_TEXT = {n: str(n) for n in range(1024)}
 _INT_ONLY = {int}
 
 
 def _render_json(obj) -> str:
-    """Exactly json.dumps(obj, indent=2, sort_keys=True), for report values.
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), for report values,
+    with each si.Runs written as its expanded list.
 
     The stdlib takes its pure-Python encoder for indented output. Here each
-    list of plain ints is joined in one call, and strings are escaped by
-    json's C routine. Recursion runs through a module-level function, so no
-    reference cycle is left for the garbage collector.
+    list of plain ints is joined in one call, each run is written as one
+    repeated string, and strings are escaped by json's C routine. Recursion
+    runs through a module-level function, so no reference cycle is left for
+    the garbage collector.
     """
     out: list[str] = []
     _json_chunks(obj, "\n", out)
@@ -552,12 +554,18 @@ def _json_chunks(obj, nl: str, out: list[str]) -> None:
     """Append the text of obj, whose lines start with nl, to out."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
+    elif type(obj) is Runs:
+        sep = "," + nl + "  "
+        body = "".join([(sep + int.__repr__(v)) * m for v, m in obj.pairs])
+        # body[1:] drops the first comma; no parts at all write []
+        out.append("[" + body[1:] + nl + "]" if body else "[]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         for key in obj:
-            require(isinstance(key, str), f"report key {key!r} is not a string")
+            if not isinstance(key, str):
+                raise InvariantError(f"report key {key!r} is not a string")
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(obj):

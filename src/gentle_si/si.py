@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, require
+from .errors import InputError, InvariantError, require
 from .matching import Presentation, is_member, presentation
 from .peg import (
     MatchingSystemExtract,
@@ -29,8 +29,22 @@ from .quivers import Coloring, Incidence, Quiver, color_incidence
 from .ranks import _all_tight, check_beta
 
 PartitionMap = dict[str, tuple[int, ...]]
-# a partition, or an incidence vector, as (value, multiplicity) runs in order
-_Runs = tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Runs:
+    """A sequence of ints held as (value, count) pairs in order: a partition,
+    a y or a grade. expand() writes it out; cli._render_json writes it as the
+    expanded list, while json.dumps refuses it. Two Runs are equal when
+    their pairs are, so compare expand() for the values."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def expand(self) -> tuple[int, ...]:
+        out: list[int] = []
+        for v, m in self.pairs:
+            out += [v] * m
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +142,20 @@ def _jumps(
     return jumps
 
 
-def _grade(ctx: PegContext, jumps: dict[int, int]) -> tuple[int, ...]:
-    vals = [0] * len(ctx.extract.components)
-    for idx, v in jumps.items():
-        vals[idx] = v
-    return tuple(vals)
+def _grade(ctx: PegContext, jumps: dict[int, int]) -> Runs:
+    """The jump value on every component, from the nonzero jumps alone: each
+    one a run, with zero runs between them and after the last."""
+    pairs = []
+    prev = 0
+    for idx in sorted(jumps):
+        if idx > prev:
+            pairs.append((0, idx - prev))
+        pairs.append((jumps[idx], 1))
+        prev = idx + 1
+    n = len(ctx.extract.components)
+    if n > prev:
+        pairs.append((0, n - prev))
+    return Runs(tuple(pairs))
 
 
 def component_values(
@@ -144,7 +167,7 @@ def component_values(
     roots always sit at jump zero.
     """
     u, y = _check_uy(ctx, u, y)
-    return _grade(ctx, _jumps(ctx, u, zip(ctx.band_slots, y)))
+    return _grade(ctx, _jumps(ctx, u, zip(ctx.band_slots, y))).expand()
 
 
 def component_labels(ctx: PegContext) -> list[str]:
@@ -170,12 +193,13 @@ def lambda_from_uy(
     matching system, y gives one value per band and defaults to zero.
     """
     u, y = _check_uy(ctx, u, y)
-    return _expand(_partition_runs(ctx, u, _jumps(ctx, u, zip(ctx.band_slots, y))))
+    lam = _partition_runs(ctx, u, _jumps(ctx, u, zip(ctx.band_slots, y)))
+    return {a: runs.expand() for a, runs in lam.items()}
 
 
 def _partition_runs(
     ctx: PegContext, u: Sequence[int], jumps: dict[int, int]
-) -> dict[str, _Runs]:
+) -> dict[str, Runs]:
     """lambda_from_uy as runs, from the nonzero jumps alone.
 
     A partition changes value only at the heights of its arrow's components
@@ -185,16 +209,16 @@ def _partition_runs(
     for idx, v in jumps.items():
         for a, h in ctx.positions[idx]:
             steps.setdefault(a, []).append((h, v))
-    lam: dict[str, _Runs] = {}
+    lam: dict[str, Runs] = {}
     for a in ctx.q.arrow_names():
         r = ctx.r[a]
         if r == 0:
-            lam[a] = ()
+            lam[a] = Runs(())
             continue
         acc = u[ctx.var_pos[a]]
         at = steps.get(a)
         if not at:
-            lam[a] = ((acc, r),)
+            lam[a] = Runs(((acc, r),))
             continue
         at.sort()
         acc += sum(v for _, v in at)
@@ -205,19 +229,8 @@ def _partition_runs(
             acc -= v
             prev = h
         runs.append((acc, r - prev))
-        lam[a] = tuple(runs)
+        lam[a] = Runs(tuple(runs))
     return lam
-
-
-def _expand(lam: dict[str, _Runs]) -> PartitionMap:
-    """The partition map written out part by part."""
-    out: PartitionMap = {}
-    for a, runs in lam.items():
-        parts: list[int] = []
-        for p, m in runs:
-            parts += [p] * m
-        out[a] = tuple(parts)
-    return out
 
 
 def _check_partitions(q: Quiver, lam: PartitionMap) -> None:
@@ -266,7 +279,7 @@ def si_membership(
     _check_partitions(q, lam)
     check_beta(q, beta)
     runs = {
-        a: tuple((p, sum(1 for _ in g)) for p, g in groupby(parts))
+        a: Runs(tuple((p, sum(1 for _ in g)) for p, g in groupby(parts)))
         for a, parts in lam.items()
     }
     length = {a: len(parts) for a, parts in lam.items()}
@@ -318,7 +331,7 @@ def _mirror_sums(
     return sums
 
 
-def _membership(lam: dict[str, _Runs], plan: _VertexPlan) -> MembershipResult:
+def _membership(lam: dict[str, Runs], plan: _VertexPlan) -> MembershipResult:
     """si_membership on checked partition runs laid out by plan."""
     sigma: dict[str, int] = {}
     for x, pairs in plan:
@@ -329,11 +342,11 @@ def _membership(lam: dict[str, _Runs], plan: _VertexPlan) -> MembershipResult:
         for out_a, in_a, pad in pairs:
             if pad < 0:
                 raise InputError(f"partition parts exceed the dimension at vertex {x}")
-            vec = list(lam[out_a]) if out_a else []
+            vec = list(lam[out_a].pairs) if out_a else []
             if pad:
                 vec.append((0, pad))
             if in_a:
-                vec += [(-p, m) for p, m in reversed(lam[in_a])]
+                vec += [(-p, m) for p, m in reversed(lam[in_a].pairs)]
             vecs.append(vec)
         if len(vecs) == 1:
             sums = vecs[0]
@@ -422,27 +435,31 @@ def degree_bounds(q: Quiver, r: dict[str, int]) -> tuple[int, int]:
 
 @dataclass
 class SiGenerator:
-    """One ring generator with its partition map, weight, degree and grade."""
+    """One ring generator with its partition map, weight, degree and grade.
+
+    y, the partitions and the grade are held as Runs, and as_dict passes
+    them on as they are, for cli._render_json to write out.
+    """
 
     name: str
     kind: str
     u: tuple[int, ...]
-    y: tuple[int, ...]
-    partitions: PartitionMap
+    y: Runs
+    partitions: dict[str, Runs]
     degree: int
     sigma: dict[str, int]
-    grade: tuple[int, ...]
+    grade: Runs
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "kind": self.kind,
             "u": list(self.u),
-            "y": list(self.y),
-            "partitions": {a: list(p) for a, p in sorted(self.partitions.items())},
+            "y": self.y,
+            "partitions": dict(sorted(self.partitions.items())),
             "degree": self.degree,
             "sigma": dict(sorted(self.sigma.items())),
-            "grade": list(self.grade),
+            "grade": self.grade,
         }
 
 
@@ -487,7 +504,7 @@ def _translate(
     name: str,
     kind: str,
     u: tuple[int, ...],
-    y: tuple[int, ...],
+    y: Runs,
     bands: Iterable[tuple[int, int]],
     gen_bound: int,
 ) -> SiGenerator:
@@ -496,17 +513,17 @@ def _translate(
     jumps = _jumps(ctx, u, bands)
     lam = _partition_runs(ctx, u, jumps)
     mem = _membership(lam, plan)
-    require(
-        mem.ok, f"generator {name} fails the weight equations at {mem.witness}"
-    )
-    deg = sum(p * m for runs in lam.values() for p, m in runs)
-    require(
-        deg <= gen_bound,
-        f"generator {name} has degree {deg} above the bound {gen_bound}",
-    )
-    return SiGenerator(
-        name, kind, u, y, _expand(lam), deg, mem.sigma, _grade(ctx, jumps)
-    )
+    # the messages are built only on failure: this runs once per generator
+    if not mem.ok:
+        raise InvariantError(
+            f"generator {name} fails the weight equations at {mem.witness}"
+        )
+    deg = sum(p * m for runs in lam.values() for p, m in runs.pairs)
+    if deg > gen_bound:
+        raise InvariantError(
+            f"generator {name} has degree {deg} above the bound {gen_bound}"
+        )
+    return SiGenerator(name, kind, u, y, lam, deg, mem.sigma, _grade(ctx, jumps))
 
 
 def si_presentation(
@@ -531,7 +548,7 @@ def si_presentation(
     gen_bound, rel_bound = degree_bounds(q, r)
     nb = len(ctx.extract.band_index)
     band_vars = tuple(f"y{k + 1}" for k in range(nb))
-    zero_y = (0,) * nb
+    zero_y = Runs(((0, nb),) if nb else ())
     zero_u = (0,) * ctx.extract.system.num_vars
     plan = _vertex_plan(q, beta, ctx.graph.inc, r)
 
@@ -541,7 +558,8 @@ def si_presentation(
             _translate(ctx, plan, g.name, g.kind, g.vector, zero_y, (), gen_bound)
         )
     for k, (name, slot) in enumerate(zip(band_vars, ctx.band_slots)):
-        y = zero_y[:k] + (1,) + zero_y[k + 1:]
+        # y is 1 at band k and 0 elsewhere; empty zero runs are left out
+        y = Runs(tuple(run for run in ((0, k), (1, 1), (0, nb - k - 1)) if run[1]))
         records.append(
             _translate(
                 ctx, plan, name, "band_var", zero_u, y, ((slot, 1),), gen_bound

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from gentle_si.matching import make_system
 from gentle_si.quivers import Arrow, Coloring, Quiver, RelationSet
+from gentle_si.si import Runs
 
 
 def closing_system():
@@ -172,3 +173,18 @@ def relation_degree(pres, rel):
     """The degree of a relation of an SiPresentation: the summed degrees of
     the generators on its left side."""
     return sum(generator_named(pres, n).degree for n in rel.lhs)
+
+
+def expand_runs(obj):
+    """obj with every Runs inside its dicts, lists and tuples written out as
+    its expanded tuple: what json.dumps can write, and what the dense
+    references compare with."""
+    if isinstance(obj, Runs):
+        return obj.expand()
+    if isinstance(obj, dict):
+        return {k: expand_runs(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [expand_runs(v) for v in obj]
+    if isinstance(obj, tuple):
+        return tuple(expand_runs(v) for v in obj)
+    return obj

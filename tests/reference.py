@@ -7,7 +7,7 @@ box scan, generators by subtracting points inside the box, decompositions
 and relation congruence by search, relations by joining every fiber's
 classes. The tests wire them against the referee and the engine. The
 samplers draw random colored quivers, and rank components that reach the
-relation path. The quiver side's partition maps and vertex equations are
+relation path; disjoint_copies repeats a component k times. The quiver side's partition maps and vertex equations are
 written out part by part, padded to the rank and to beta, and the root
 graph is built as a general graph, with a search per component. Nothing
 here imports the engine it is compared with.
@@ -287,6 +287,29 @@ def random_tight_component(
         n = r.get(pair.in_arrow, 0) + r.get(pair.out_arrow, 0)
         beta[x] = max(beta[x], n)
     return q, c, beta, r
+
+
+def disjoint_copies(
+    q: Quiver, c: Coloring, beta: dict[str, int], r: dict[str, int], k: int
+) -> tuple[Quiver, Coloring, dict[str, int], dict[str, int]]:
+    """k disjoint copies of a rank component. Copy i renames each vertex,
+    arrow and color x to x.i, so an arrow's copy is the text after its
+    last dot."""
+    vertices = [f"{x}.{i}" for i in range(k) for x in q.vertices]
+    arrows = [
+        Arrow(f"{a.name}.{i}", f"{a.tail}.{i}", f"{a.head}.{i}")
+        for i in range(k)
+        for a in q.arrows
+    ]
+    colors = {
+        f"{a.name}.{i}": f"{c.color(a.name)}.{i}" for i in range(k) for a in q.arrows
+    }
+    return (
+        Quiver(vertices, arrows),
+        Coloring(colors),
+        {f"{x}.{i}": n for i in range(k) for x, n in beta.items()},
+        {f"{a}.{i}": n for i in range(k) for a, n in r.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

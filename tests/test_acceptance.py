@@ -25,6 +25,7 @@ from fixtures import (
     closing_system,
     cover_example,
     eleven_var_system,
+    expand_runs,
     path_example,
     relation_degree,
     running_example,
@@ -207,7 +208,7 @@ def test_criterion_7_running_pipeline():
 
     assert (pres.degree_bound_gens, pres.degree_bound_rels) == (42, 168)
     for g in pres.generators:
-        res = si_membership(g.partitions, q, c, beta)
+        res = si_membership(expand_runs(g.partitions), q, c, beta)
         assert res.ok, f"{g.name} fails membership at {res.witness}"
         assert res.sigma == g.sigma
         assert g.degree <= 42

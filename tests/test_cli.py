@@ -14,6 +14,7 @@ import re
 import shlex
 import signal
 import time
+import warnings
 from dataclasses import replace
 
 import jsonschema
@@ -21,11 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixtures import closing_system
+from fixtures import closing_system, expand_runs, path_example
+from reference import random_tight_component
 from gentle_si import cli, matching, peg, quivers, ranks, si
 from gentle_si.cli import CliConfig, main, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.ranks import is_maximal_rank
+from gentle_si.si import Runs
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -157,12 +160,10 @@ def test_golden_output(capsys, out_name, argv):
     assert out == (GOLDENS / out_name).read_text(encoding="utf-8")
 
 
-def test_scaled_running_outputs_match_golden_digest():
-    """The quiver side prints exactly as recorded on the scaled running example.
-
-    Covers presentation and peg with beta and r times 1..10, then
-    components and derived-rank presentation with beta times 1..4.
-    """
+def scaled_outputs_digest() -> str:
+    """sha256 of the JSON that presentation and peg print with beta and r
+    times 1..10, then components and derived-rank presentation with beta
+    times 1..4."""
     cases = [(cmd, k, True) for cmd in ("presentation", "peg") for k in range(1, 11)]
     cases += [
         (cmd, k, False) for cmd in ("components", "presentation") for k in range(1, 5)
@@ -171,8 +172,44 @@ def test_scaled_running_outputs_match_golden_digest():
     for cmd, k, ranks in cases:
         model = parse_model(scaled_running(k, ranks))
         h.update(run_command(cmd, model, CliConfig(json=True)).encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_scaled_running_outputs_match_golden_digest():
+    """The quiver side prints exactly as recorded on the scaled running example."""
     digest = (GOLDENS / "running_scaled_outputs.sha256").read_text(encoding="utf-8")
-    assert h.hexdigest() == digest.split()[0]
+    assert scaled_outputs_digest() == digest.split()[0]
+
+
+def test_presentation_writes_no_runs_out_densely(capsys, monkeypatch):
+    """From translation to output, no partition, y or grade is expanded:
+    with Runs.expand raising, presentation still prints the goldens and the
+    scaled digest, running x10 prints its text as before, and every bundled
+    model prints what it printed before, as JSON and as text."""
+    argvs = [
+        ("presentation", model_path(path.name), *flag)
+        for path in sorted(GOLDENS.glob("*.model"))
+        for flag in ((), ("--json",))
+    ]
+    before = [run_cli(capsys, *argv) for argv in argvs]
+    text_x10 = run_command("presentation", parse_model(scaled_running(10)), CliConfig())
+
+    def dense(self):
+        raise AssertionError("a Runs was expanded")
+
+    monkeypatch.setattr(Runs, "expand", dense)
+    with pytest.raises(AssertionError, match="a Runs was expanded"):
+        Runs(((1, 2),)).expand()
+    for out_name, argv in GOLDEN_CASES:
+        if argv[0] == "presentation":
+            argv = [model_path(a) if a.endswith(".model") else a for a in argv]
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, (GOLDENS / out_name).read_text(encoding="utf-8"))
+    digest = (GOLDENS / "running_scaled_outputs.sha256").read_text(encoding="utf-8")
+    assert scaled_outputs_digest() == digest.split()[0]
+    model = parse_model(scaled_running(10))
+    assert run_command("presentation", model, CliConfig()) == text_x10
+    assert [run_cli(capsys, *argv) for argv in argvs] == before
 
 
 def test_large_running_outputs_match_golden_digest():
@@ -275,6 +312,10 @@ JSON_LEAVES = (
     | st.floats()
     | JSON_TEXT
     | st.lists(st.integers(min_value=-3, max_value=2000) | st.booleans(), max_size=6)
+    | st.lists(
+        st.tuples(st.integers(min_value=-3, max_value=2000), st.integers(0, 3)),
+        max_size=4,
+    ).map(lambda pairs: Runs(tuple(pairs)))
 )
 JSON_TREES = st.recursive(
     JSON_LEAVES,
@@ -292,8 +333,11 @@ JSON_TREES = st.recursive(
 @example([1, True])
 @example({"a": [{}, []], "b": ([], {"": {}}), "c": {"d": ()}})
 @example({'"q"\n': [-1, 2**70, None, False], "\u00e9\x01": (0, 1023, 1024)})
+@example({"empty": Runs(()), "one": Runs(((3, 4),)), "none": Runs(((5, 0),))})
+@example([Runs(((1024, 2), (2**70, 1), (0, 3))), {"a": Runs(((-1, 1), (1, 2)))}])
 def test_render_json_matches_stdlib(obj):
-    assert cli._render_json(obj) == stdlib_json(obj)
+    """Each Runs renders as json.dumps renders its expanded tuple."""
+    assert cli._render_json(obj) == stdlib_json(expand_runs(obj))
 
 
 def test_render_json_rejects_non_string_keys():
@@ -315,9 +359,45 @@ def test_every_command_payload_renders_as_stdlib():
                 payload = handler(parse_model(text))
             except InputError as exc:
                 payload = {"error": {"kind": "input", "message": str(exc)}}
-            assert cli._render_json(payload) == stdlib_json(payload), (name, command)
+            expected = stdlib_json(expand_runs(payload))
+            assert cli._render_json(payload) == expected, (name, command)
             rendered += 1
     assert rendered == 60
+
+
+def test_presentation_payloads_render_as_stdlib_on_random_components():
+    """The presentation payloads of 200 random tight components render as
+    json.dumps renders them expanded: 170 present, 9 of them with bands
+    and 145 with a vertex of dimension zero."""
+    rendered = 0
+    for seed in range(200):
+        q, c, beta, r = random_tight_component(random.Random(seed))
+        with warnings.catch_warnings():
+            # a draw whose r is not maximal presents a smaller stratum
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                payload = si.si_presentation(q, c, beta, r).as_dict()
+            except InputError:  # a vertex carries three colors
+                continue
+        expected = stdlib_json(expand_runs(payload))
+        assert cli._render_json(payload) == expected, seed
+        rendered += 1
+    assert rendered == 170
+
+
+def test_render_json_writes_empty_and_single_runs():
+    """A rank-zero arrow has an empty partition, and y is empty without
+    bands: both write []. A partition of one run writes its part r(a)
+    times."""
+    q, c, _ = path_example()
+    pres = si.si_presentation(q, c, {"1": 2, "2": 2, "3": 0}, {"a1": 2, "a2": 0})
+    (g,) = pres.as_dict()["generators"]
+    assert g["partitions"]["a2"] == Runs(()) and g["y"] == Runs(())
+    assert g["partitions"]["a1"] == Runs(((1, 2),))
+    text = cli._render_json(g)
+    assert text == stdlib_json(expand_runs(g))
+    assert '"a1": [\n      1,\n      1\n    ],\n    "a2": []' in text
+    assert '"y": []' in text
 
 
 def test_render_json_leaves_no_cyclic_garbage():

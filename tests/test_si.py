@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fixtures import (
     RUNNING_GENERATORS,
     determinant_example,
+    expand_runs,
     generator_named,
     path_example,
     relation_degree,
@@ -21,6 +23,7 @@ from reference import (
     dense_component_values,
     dense_membership,
     dense_partitions,
+    disjoint_copies,
     random_tight_component,
 )
 
@@ -31,6 +34,7 @@ from gentle_si.peg import build_peg
 from gentle_si.quivers import Arrow, Coloring, Quiver, is_gentle, monochromatic_ideal
 from gentle_si.ranks import is_maximal_rank, maximal_rank_sequences
 from gentle_si.si import (
+    Runs,
     component_labels,
     component_values,
     degree_bounds,
@@ -87,12 +91,12 @@ def test_determinant_presentation_frozen():
     g = generator_named(pres, "g1")
     assert g.kind == "free"
     assert g.u == (1,)
-    assert g.y == ()
-    assert g.partitions == {"a": (1, 1)}
+    assert g.y.expand() == ()
+    assert expand_runs(g.partitions) == {"a": (1, 1)}
     assert g.degree == 2
     assert g.sigma == {"1": 1, "2": -1}
-    assert g.grade == (0,)
-    assert {g.name: g.grade for g in pres.generators} == {"g1": (0,)}
+    assert g.grade.expand() == (0,)
+    assert {g.name: g.grade.expand() for g in pres.generators} == {"g1": (0,)}
     assert (pres.degree_bound_gens, pres.degree_bound_rels) == (6, 24)
     assert component_labels(pres.context) == ["1|s|1"]
 
@@ -114,7 +118,7 @@ def test_running_membership_failure_witness_at_two_color_vertex(arrow, parts, wi
     sums disagree only at entry 6 in the first case, and at entries 2..6 in
     the second, where the witness is the first of them."""
     q, c, beta, r = running_example()
-    lam = dict(generator_named(si_presentation(q, c, beta, r), "g3").partitions)
+    lam = expand_runs(generator_named(si_presentation(q, c, beta, r), "g3").partitions)
     lam[arrow] = parts
     res = si_membership(lam, q, c, beta)
     assert not res.ok
@@ -147,11 +151,11 @@ def test_running_band_unit_generator_frozen():
     g = generator_named(pres, "y1")
     assert g.kind == "band_var"
     assert g.u == (0,) * 7
-    assert g.y == (1,)
-    assert g.partitions == {a: (1, 0) for a in g.partitions}
+    assert g.y.expand() == (1,)
+    assert expand_runs(g.partitions) == {a: (1, 0) for a in g.partitions}
     assert g.degree == 7
     assert g.sigma == {"1": 1, "2": 0, "3": 0, "4": 0, "5": -1}
-    assert g.grade == (1, 0, 0, 0, 0)
+    assert g.grade.expand() == (1, 0, 0, 0, 0)
 
 
 def test_running_walk_generators_frozen():
@@ -160,15 +164,15 @@ def test_running_walk_generators_frozen():
     assert [g.u for g in walk_gens] == RUNNING_GENERATORS
     assert [g.degree for g in walk_gens] == [4, 4, 4, 6, 6]
     for g in walk_gens:
-        assert g.partitions == {
+        assert expand_runs(g.partitions) == {
             a: (g.u[i], g.u[i])
             for i, a in enumerate(pres.matching.system.var_names)
         }
     g1 = generator_named(pres, "g1")
     assert g1.sigma == {"1": 0, "2": 0, "3": 0, "4": 1, "5": -2}
-    assert g1.grade == (0, 0, 0, 0, 1)
-    assert generator_named(pres, "g3").grade == (0, 1, 0, 0, 0)
-    assert generator_named(pres, "g4").grade == (0, 0, 0, 1, 1)
+    assert g1.grade.expand() == (0, 0, 0, 0, 1)
+    assert generator_named(pres, "g3").grade.expand() == (0, 1, 0, 0, 0)
+    assert generator_named(pres, "g4").grade.expand() == (0, 0, 0, 1, 1)
 
 
 def test_running_relation_degrees_within_bound():
@@ -220,7 +224,7 @@ def test_running_generators_satisfy_oracle_equations():
     q, c, beta, r = running_example()
     pres = si_presentation(q, c, beta, r)
     for g in pres.generators:
-        assert oracle.verify_si_equations(g.partitions, q, c, beta)
+        assert oracle.verify_si_equations(expand_runs(g.partitions), q, c, beta)
 
 
 def test_running_component_labels():
@@ -239,9 +243,9 @@ def test_grades_match_component_values():
     which carry no band part, grade the same."""
     pres = si_presentation(*running_example())
     ctx = pres.context
-    grading = {g.name: g.grade for g in pres.generators}
+    grading = {g.name: g.grade.expand() for g in pres.generators}
     for g in pres.generators:
-        assert g.grade == component_values(ctx, g.u, g.y)
+        assert g.grade.expand() == component_values(ctx, g.u, g.y.expand())
     for g in pres.matching.generators:
         assert component_values(ctx, g.vector) == grading[g.name]
 
@@ -347,17 +351,18 @@ def assert_matches_dense(pres, q, c, beta):
     at many heights."""
     ctx = pres.context
     for g in pres.generators:
-        vals = dense_component_values(ctx, g.u, g.y)
+        y = g.y.expand()
+        vals = dense_component_values(ctx, g.u, y)
         lam = dense_partitions(ctx, g.u, vals)
-        assert g.partitions == lam
-        assert lambda_from_uy(ctx, g.u, g.y) == lam
+        assert expand_runs(g.partitions) == lam
+        assert lambda_from_uy(ctx, g.u, y) == lam
         assert g.degree == degree(lam)
         assert dense_membership(lam, q, c, beta) == (True, g.sigma, None)
-        assert g.grade == tuple(vals) == component_values(ctx, g.u, g.y)
+        assert g.grade.expand() == tuple(vals) == component_values(ctx, g.u, y)
     if not pres.generators:
         return
     u = [sum(col) for col in zip(*(g.u for g in pres.generators))]
-    y = [sum(col) for col in zip(*(g.y for g in pres.generators))]
+    y = [sum(col) for col in zip(*(g.y.expand() for g in pres.generators))]
     lam = dense_partitions(ctx, u, dense_component_values(ctx, u, y))
     assert lambda_from_uy(ctx, u, y) == lam
     assert si_membership(lam, q, c, beta).ok
@@ -394,7 +399,7 @@ def test_membership_on_runs_matches_dense_after_one_part_changes(data):
         st.sampled_from([determinant_example(), running_example(), scaled_running(3)])
     )
     g = data.draw(st.sampled_from(si_presentation(q, c, beta, r).generators))
-    lam = dict(g.partitions)
+    lam = expand_runs(g.partitions)
     a = data.draw(st.sampled_from(sorted(a for a, parts in lam.items() if parts)))
     parts = list(lam[a])
     i = data.draw(st.integers(0, len(parts) - 1))
@@ -414,7 +419,10 @@ def test_runs_at_rank_zero_arrows_and_dimension_zero_vertices():
     beta = {"1": 1, "2": 1, "3": 0}
     pres = si_presentation(q, c, beta, {"a1": 1, "a2": 0})
     assert_matches_dense(pres, q, c, beta)
-    assert generator_named(pres, "g1").partitions == {"a1": (1,), "a2": ()}
+    assert expand_runs(generator_named(pres, "g1").partitions) == {
+        "a1": (1,),
+        "a2": (),
+    }
     assert generator_named(pres, "g1").sigma == {"1": 1, "2": -1, "3": 0}
     for lam in ({"a1": (0,), "a2": ()}, {"a1": (2,), "a2": ()}):
         res = si_membership(lam, q, c, beta)
@@ -445,11 +453,47 @@ def test_tight_components_present_relations(seed):
     rep = oracle.verify_presentation(pres.matching.system, pres.matching)
     assert rep["generators_match"] and rep["relations_match"], rep["witnesses"]
     for g in pres.generators:
-        assert oracle.verify_si_equations(g.partitions, q, c, beta), g.name
+        lam = expand_runs(g.partitions)
+        assert oracle.verify_si_equations(lam, q, c, beta), g.name
         if g.kind != "band_var":
-            assert roundtrip_uy(pres.context, g.partitions) == (g.u, g.y), g.name
+            assert roundtrip_uy(pres.context, lam) == (g.u, g.y.expand()), g.name
     for rel in pres.matching.relations:
         assert relation_degree(pres, rel) <= pres.degree_bound_rels
+
+
+# SI(C1 x C2) = SI(C1) (x) SI(C2): (generators, relations, equations) of one
+# copy of each pinned draw, which k disjoint copies multiply by k
+ONE_COPY = {17608: (4, 1, 3), 16632: (6, 1, 1)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+@pytest.mark.parametrize("seed", sorted(ONE_COPY))
+def test_disjoint_copies_present_k_times_one_copy(seed, k):
+    """k disjoint copies of a pinned relation component present exactly k
+    times its generators, relations and equations. Each generator lives in
+    one copy, each copy has its share, and no relation joins generators of
+    two copies."""
+    one = random_tight_component(random.Random(seed))
+    q, c, beta, r = disjoint_copies(*one, k)
+    pres = si_presentation(q, c, beta, r)
+    gens, rels, eqs = ONE_COPY[seed]
+    assert (
+        len(pres.generators),
+        len(pres.matching.relations),
+        pres.matching.system.m,
+    ) == (k * gens, k * rels, k * eqs)
+    copy_of = {}
+    for g in pres.generators:
+        copies = {
+            a.rsplit(".", 1)[1]
+            for a, runs in g.partitions.items()
+            if any(v for v, _ in runs.pairs)
+        }
+        assert len(copies) == 1, g.name
+        copy_of[g.name] = copies.pop()
+    assert sorted(Counter(copy_of.values()).values()) == [gens] * k
+    for rel in pres.matching.relations:
+        assert len({copy_of[n] for n in (*rel.lhs, *rel.rhs)}) == 1, rel
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +574,7 @@ def test_rank_zero_arrow_presentation():
     assert pres.rank_maximal
     assert [g.name for g in pres.generators] == ["g1"]
     g = generator_named(pres, "g1")
-    assert g.partitions == {"a1": (1,), "a2": ()}
+    assert expand_runs(g.partitions) == {"a1": (1,), "a2": ()}
     assert g.degree == 1
     assert g.sigma == {"1": 1, "2": -1, "3": 0}
     assert (pres.degree_bound_gens, pres.degree_bound_rels) == (2, 8)
@@ -544,12 +588,18 @@ def test_non_maximal_rank_warns():
         pres = si_presentation(q, c, beta, smaller)
     assert not pres.rank_maximal
     for g in pres.generators:
-        assert oracle.verify_si_equations(g.partitions, q, c, beta)
+        assert oracle.verify_si_equations(expand_runs(g.partitions), q, c, beta)
 
 
 def test_presentation_as_dict_is_json_ready():
+    """as_dict is ready for cli._render_json: plain dicts, lists and scalars,
+    except that each generator's y, partitions and grade are Runs, passed
+    on unexpanded. json.dumps refuses a Runs rather than write its pairs;
+    with every Runs expanded it writes the report."""
     pres = si_presentation(*running_example())
     data = pres.as_dict()
+    with pytest.raises(TypeError, match="Runs is not JSON serializable"):
+        json.dumps(data)
     assert set(data) == {
         "component",
         "dimensions",
@@ -564,9 +614,11 @@ def test_presentation_as_dict_is_json_ready():
         "grading_components",
         "rank_maximal",
     }
-    text = json.dumps(data, sort_keys=True)
+    text = json.dumps(expand_runs(data), sort_keys=True)
     assert json.loads(text)["component"] == {a: 2 for a in data["variables"]}
     for entry in data["generators"]:
+        runs = [entry["y"], entry["grade"], *entry["partitions"].values()]
+        assert all(type(v) is Runs for v in runs)
         assert set(entry) == {
             "name",
             "kind",
@@ -577,7 +629,7 @@ def test_presentation_as_dict_is_json_ready():
             "sigma",
             "grade",
         }
-        assert len(entry["grade"]) == len(data["grading_components"])
+        assert len(entry["grade"].expand()) == len(data["grading_components"])
 
 
 # the public entries that take a colored quiver with dimensions, and a rank
