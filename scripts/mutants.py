@@ -45,6 +45,9 @@ PEG = "src/gentle_si/peg.py"
 SI = "src/gentle_si/si.py"
 MATCHING = "src/gentle_si/matching.py"
 CLI = "src/gentle_si/cli.py"
+PRUNE_TEST = (
+    "tests/test_matching.py::test_prune_keeps_what_one_search_per_candidate_keeps"
+)
 
 MUTANTS = (
     # the root graph on partner arrays
@@ -239,11 +242,11 @@ MUTANTS = (
         ("tests/test_matching.py",),
     ),
     Mutant(
-        "matching: -r not looked up",
+        "matching: seen keyed by r, not |r|",
         MATCHING,
-        "if r in seen or -r in seen:",
-        "if r in seen:",
-        ("tests/test_matching.py",),
+        "r = abs(d1 - d2)",
+        "r = d1 - d2",
+        ("tests/test_matching.py::test_closing_candidate_step_forms_few_relations",),
     ),
     Mutant(
         "matching: relations not marked seen",
@@ -288,6 +291,63 @@ MUTANTS = (
         "",
         equivalent="r is symmetric in left and right, so each call forms the"
         " same relations; only the work differs",
+    ),
+    # relations formed once and pruned per fiber
+    Mutant(
+        "matching: rows deduplicated without the shift",
+        MATCHING,
+        "rows.add(tuple([c - base for c in row]))",
+        "rows.add(tuple(row))",
+        ("tests/test_matching.py::test_closing_candidate_step_forms_few_relations",),
+    ),
+    Mutant(
+        "matching: seen reset per call",
+        MATCHING,
+        "    rows = set()\n    for q in right:\n",
+        "    rows, seen = set(), set()\n    for q in right:\n",
+        ("tests/test_matching.py::test_closing_candidate_step_forms_few_relations",),
+    ),
+    Mutant(
+        "matching: sort keys with the first entry in the lowest field",
+        MATCHING,
+        "fields = range(shift - FIELD, -1, -FIELD)",
+        "fields = range(0, shift, FIELD)",
+        (PRUNE_TEST,),
+    ),
+    Mutant(
+        "matching: a kept relation's reverse move dropped",
+        MATCHING,
+        "            moves.setdefault(b[0], []).append((pb, pa))\n",
+        "",
+        (PRUNE_TEST,),
+    ),
+    Mutant(
+        "matching: odd generators skipped in the digit scan",
+        MATCHING,
+        "                for src, dst in moves.get(i, ()):\n",
+        "                for src, dst in moves.get(i, ()) if i % 2 == 0 else ():\n",
+        (PRUNE_TEST,),
+    ),
+    Mutant(
+        "matching: pruning guard at 4-bit fields",
+        MATCHING,
+        "guard = _guard(len(gens), width)",
+        "guard = _guard(len(gens), FIELD)",
+        (PRUNE_TEST,),
+    ),
+    Mutant(
+        "matching: union without a root check",
+        MATCHING,
+        "        if ra != rb:\n",
+        "        if True:\n",
+        (PRUNE_TEST,),
+    ),
+    Mutant(
+        "matching: classes joined at their labels, not their roots",
+        MATCHING,
+        "roots.append(find(label[side]))",
+        "roots.append(label[side])",
+        (PRUNE_TEST,),
     ),
     Mutant(
         "cli: model numbers by \\d",

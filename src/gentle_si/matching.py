@@ -49,12 +49,6 @@ class MatchingSystem:
         """row_support of every row, computed on first use."""
         return tuple(self.row_support(i) for i in range(2 * self.m))
 
-    def fvalue(self, row: int, u: Sequence[int]) -> int:
-        return sum(cj * uj for cj, uj in zip(self.rows[row], u))
-
-    def fprofile(self, u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.fvalue(i, u) for i in range(2 * self.m))
-
     def equations(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
         out = []
         for k in range(self.m):
@@ -689,7 +683,7 @@ def _signed_relation(r: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (b, a) if (len(b), b) < (len(a), a) else (a, b)
 
 
-def _swap_candidates(counts, left, right, provenance, cands):
+def _swap_candidates(counts, left, right, provenance, cands, seen):
     """Relations dec(p1+q1) + dec(p2+q2) = dec(p1+q2) + dec(p2+q1).
 
     p1, p2 run over left and q1, q2 over right, all packed vectors, so
@@ -698,28 +692,37 @@ def _swap_candidates(counts, left, right, provenance, cands):
     r = c(p1,q1) - c(p1,q2) - c(p2,q1) + c(p2,q2) is a signed count (see
     _count_width), so r is the relation's signed generator counts: -r is
     the same relation with its sides swapped. r is symmetric in left and
-    right, so the pairs are taken on the shorter side. For a fixed pair
-    q1, q2, r = d(p1) - d(p2) with d(p) = c(p,q1) - c(p,q2), so only
-    distinct differences are paired, and each relation is formed once per
-    call, from the first r or -r met.
+    right, so the pairs are taken on the shorter side.
+
+    r is a 2x2 minor of the matrix of c, one row per q, so adding a
+    constant to a row leaves it as it is. Each row is taken modulo its
+    first entry and duplicate rows are dropped: the set of nonzero r stays
+    the same. For a fixed pair of rows, r = d(p1) - d(p2) with d(p) their
+    difference at p, so only distinct differences are paired. seen holds
+    |r| for each relation formed so far, across every configuration of one
+    presentation, so each relation is formed once, in the first
+    configuration that meets it.
     """
     if len(left) < 2 or len(right) < 2:
         return
     if len(left) < len(right):
         left, right = right, left
-    cols = [[counts[p + q] for p in left] for q in right]
-    seen = set()
-    for c1, c2 in itertools.combinations(cols, 2):
+    rows = set()
+    for q in right:
+        row = [counts[p + q] for p in left]
+        base = row[0]
+        rows.add(tuple([c - base for c in row]))
+    for c1, c2 in itertools.combinations(rows, 2):
         diffs = set(map(operator.sub, c1, c2))
         for d1, d2 in itertools.combinations(diffs, 2):
-            r = d1 - d2
-            if r in seen or -r in seen:
+            r = abs(d1 - d2)
+            if r in seen:
                 continue
             seen.add(r)
             cands.append((_signed_relation(r, counts.width), provenance))
 
 
-def _x_candidates(graph, arms, counts):
+def _x_candidates(graph, arms, counts, seen):
     cands = []
     for v, w in graph.dotted_edges():
         _swap_candidates(
@@ -728,11 +731,12 @@ def _x_candidates(graph, arms, counts):
             arms.get(w, ()),
             "X-configuration({%d,%d})" % (v, w),
             cands,
+            seen,
         )
     return cands
 
 
-def _h_candidates(graph, h_walks, counts):
+def _h_candidates(graph, h_walks, counts, seen):
     cands = []
     dotted = graph.dotted_edges()
     for (v, vbar), (w, wbar) in itertools.combinations(dotted, 2):
@@ -744,17 +748,21 @@ def _h_candidates(graph, h_walks, counts):
                 h_walks.get((vbar, bend), ()),
                 provenance,
                 cands,
+                seen,
             )
     return cands
 
 
-def _reaches(moves, guard, width, start, target) -> bool:
-    """Whether the moves rewrite packed counts start into target.
+def _explore(moves, guard, width, start, target) -> set:
+    """The packed counts the moves rewrite start into, breadth first,
+    start included.
 
-    moves maps a generator index to the (src, dst) moves whose source's
-    lowest generator it is, so a state only tries the moves of the
-    generators read off its nonzero digits. A move applies where src fits
-    inside the state, one guarded subtraction.
+    The search stops as soon as it meets target, which the result then
+    holds; a target of 0, which is no multiset of a fiber, asks for the
+    whole component. moves maps a generator index to the (src, dst) moves
+    whose source's lowest generator it is, so a state only tries the moves
+    of the generators read off its nonzero digits. A move applies where
+    src fits inside the state, one guarded subtraction.
     """
     mask = (1 << width) - 1
     seen = {start}
@@ -769,69 +777,127 @@ def _reaches(moves, guard, width, start, target) -> bool:
                 for src, dst in moves.get(i, ()):
                     if ((s | guard) - src) & guard == guard:
                         t = s - src + dst
-                        if t == target:
-                            return True
                         if t not in seen:
                             seen.add(t)
+                            if t == target:
+                                return seen
                             nxt.append(t)
         frontier = nxt
-    return False
+    return seen
+
+
+def _join(moves, guard, width, fiber):
+    """The candidates (a, b, pa, pb) of one fiber, in order, that join two
+    classes of its multisets.
+
+    The classes start as the components under moves, which hold the moves
+    of lower fibers only: each side's component is explored once and
+    labelled. A union-find over the labels then takes the candidates in
+    turn. A move of this fiber rewrites only its own side, the one
+    multiset of the fiber that it fits, into its other side, so a
+    candidate whose sides share a class is implied by the lower moves and
+    the candidates kept before it, and one that joins two classes is not.
+    """
+    label: dict[int, int] = {}
+    parent: list[int] = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = []
+    for cand in fiber:
+        roots = []
+        for side in cand[2:]:
+            if side not in label:
+                for t in _explore(moves, guard, width, side, 0):
+                    label[t] = len(parent)
+                parent.append(len(parent))
+            roots.append(find(label[side]))
+        ra, rb = roots
+        if ra != rb:
+            parent[ra] = rb
+            kept.append(cand)
+    return kept
 
 
 def _prune(
     cands, gens: list[Generator], counts: _SideCounts
 ) -> tuple[list[Relation], list[tuple[int, ...]]]:
-    """Distinct candidates kept greedily unless the kept ones imply them.
+    """Distinct candidates kept unless the lower ones kept imply them.
 
     Each side is held as generator counts packed into one int, one
     base-2^width digit per generator index, as counts packs them. A
     kept relation rewrites a multiset holding either side into one holding
     the other, and a candidate is dropped when these moves rewrite its one
     side into its other. Candidates are taken in order of (total, vector)
-    of their side sums. A relation can only rewrite multisets whose sum
-    dominates its side sum, so this order presents each fiber after every
-    fiber below it. A relation formed more than once keeps its first
-    provenance. Returns the kept relations and, in the same order, their
-    side sums.
+    of their side sums, and a fiber is the run of candidates of one side
+    sum. A relation can only rewrite multisets whose sum dominates its
+    side sum, so this order presents each fiber after every fiber below
+    it. A fiber with one candidate searches from its one side for the
+    other; a larger one is settled by _join. A relation formed more than
+    once keeps its first provenance. Returns the kept relations and, in
+    the same order, their side sums.
     """
-    n = len(gens[0].vector) if gens else 0
-    width, vectors, units = counts.width, counts.vectors, counts.units
+    if not cands:
+        return [], []
+    n = len(gens[0].vector)
+    width, units = counts.width, counts.units
     first: dict[tuple, str] = {}
     for rel, prov in cands:
         first.setdefault(rel, prov)
-    ordered = []
-    for rel in first:
-        v = _unpack(sum(map(vectors.__getitem__, rel[0])), n)
-        ordered.append((sum(v), v, rel))
-    ordered.sort()
+    # each generator's vector packed with its first entry in the top field
+    # and its total above that, so that a side's key, the sum of its
+    # generators' keys, orders as (total, vector) of the side sum: a side
+    # sum p + q fits the fields (see FIELD), so no field carries
+    shift = FIELD * n
+    fields = range(shift - FIELD, -1, -FIELD)
+    keys = [
+        sum(g.vector) << shift | sum(map(operator.lshift, g.vector, fields))
+        for g in gens
+    ]
+    ordered = sorted([(sum(map(keys.__getitem__, a)), a, b) for a, b in first])
     # a multiset of the fiber of sum v holds non-free generators only, each
     # of total at least 2, so none of its digits exceeds sum(v) / 2; the
     # largest sum comes last
     require(
-        not ordered or 1 << (width - 1) > ordered[-1][0] // 2,
+        1 << (width - 1) > (ordered[-1][0] >> shift) // 2,
         "a fiber's generator counts overflow their digits",
     )
     guard = _guard(len(gens), width)
     moves: dict[int, list[tuple[int, int]]] = {}
-    out = []
+    kept = []
     sums = []
-    for _, v, (a, b) in ordered:
-        pa = sum(map(units.__getitem__, a))
-        pb = sum(map(units.__getitem__, b))
-        # the sides of a candidate are disjoint, so pa != pb
-        if _reaches(moves, guard, width, pa, pb):
-            continue
-        moves.setdefault(a[0], []).append((pa, pb))
-        moves.setdefault(b[0], []).append((pb, pa))
-        sums.append(v)
-        out.append(
-            Relation(
-                lhs=tuple(gens[i].name for i in a),
-                rhs=tuple(gens[i].name for i in b),
-                provenance=first[a, b],
-            )
+    for key, group in itertools.groupby(ordered, operator.itemgetter(0)):
+        fiber = [
+            (a, b, sum(map(units.__getitem__, a)), sum(map(units.__getitem__, b)))
+            for _, a, b in group
+        ]
+        if len(fiber) == 1:
+            # the sides of a candidate are disjoint, so pa != pb
+            _, _, pa, pb = fiber[0]
+            if pb in _explore(moves, guard, width, pa, pb):
+                continue
+        else:
+            fiber = _join(moves, guard, width, fiber)
+        for a, b, pa, pb in fiber:
+            moves.setdefault(a[0], []).append((pa, pb))
+            moves.setdefault(b[0], []).append((pb, pa))
+        kept += fiber
+        # the key's low fields hold the side sum, its last entry first
+        sums += [_unpack(key, n)[::-1]] * len(fiber)
+    names = [g.name for g in gens]
+    relations = [
+        Relation(
+            lhs=tuple(map(names.__getitem__, a)),
+            rhs=tuple(map(names.__getitem__, b)),
+            provenance=first[a, b],
         )
-    return out, sums
+        for a, b, _, _ in kept
+    ]
+    return relations, sums
 
 
 # the reported relation_cap never drops below the oracle's
@@ -856,11 +922,17 @@ def presentation(sys_: MatchingSystem) -> Presentation:
     # arm's first loop, and every row count stays at most 2: so an X arm or
     # an H walk has total at most 2m
     counts = _SideCounts(gens, _count_width(2 * sys_.m))
-    cands = _x_candidates(graph, arms, counts) + _h_candidates(
-        graph, h_walks, counts
+    seen: set[int] = set()
+    cands = _x_candidates(graph, arms, counts, seen) + _h_candidates(
+        graph, h_walks, counts, seen
     )
+    # each |r| is as wide as the generator counts; pruning does not read them
+    del seen
     relations, sums = _prune(cands, gens, counts)
-    cap = max([RELATION_CAP_FLOOR] + [max(sys_.fprofile(u), default=0) for u in sums])
+    cap = max(
+        [RELATION_CAP_FLOOR]
+        + [sum(map(u.__getitem__, s)) for u in set(sums) for s in sys_.row_supports]
+    )
     return Presentation(
         system=sys_,
         graph=graph,

@@ -24,6 +24,11 @@ from .quivers import Coloring, Quiver, color_incidence
 RELATION_DEGREE_FLOOR = 4
 
 
+def _fprofile(sys_: MatchingSystem, u: Sequence[int]) -> tuple[int, ...]:
+    """The value of every row at u: each row's coefficients dotted with u."""
+    return tuple(sum(cj * uj for cj, uj in zip(row, u)) for row in sys_.rows)
+
+
 def _counting_bound_checked(
     sys_: MatchingSystem, gens: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
@@ -34,7 +39,7 @@ def _counting_bound_checked(
             f"irreducible solution {g} has a coordinate above 2",
         )
         require(
-            max(sys_.fprofile(g), default=0) <= 2,
+            max(_fprofile(sys_, g), default=0) <= 2,
             f"irreducible solution {g} has an equation side above 2",
         )
     return sorted(gens)
@@ -175,7 +180,7 @@ def fibers(
     # (index, nonzero (row, count) pairs) of each generator with a nonzero profile
     live = []
     for i, g in enumerate(gens):
-        sides = [(r, c) for r, c in enumerate(system.fprofile(g)) if c]
+        sides = [(r, c) for r, c in enumerate(_fprofile(system, g)) if c]
         if sides:
             live.append((i, sides))
     prof = [0] * (2 * system.m)

@@ -5,12 +5,14 @@ fiber pass and the class join. These routines recompute the same answers a
 slower way, from first principles, reading only the equations: points by a
 box scan, generators by subtracting points inside the box, decompositions
 and relation congruence by search, relations by joining every fiber's
-classes. The tests wire them against the referee and the engine. The
-samplers draw random colored quivers, and rank components that reach the
-relation path; disjoint_copies repeats a component k times. The quiver side's partition maps and vertex equations are
-written out part by part, padded to the rank and to beta, and the root
-graph is built as a general graph, with a search per component. Nothing
-here imports the engine it is compared with.
+classes, and the engine's relation pruning by one search per candidate.
+The tests wire them against the referee and the engine. The samplers
+draw random colored quivers, and rank components that reach the
+relation path; disjoint_copies repeats a component k times. The quiver
+side's partition maps and vertex equations are written out part by part,
+padded to the rank and to beta, and the root graph is built as a general
+graph, with a search per component. Nothing here imports the engine it
+is compared with.
 """
 
 from __future__ import annotations
@@ -225,6 +227,79 @@ def toric_relations_bruteforce(
             require(bool(lhs) and bool(rhs), "trivial relation reached the fiber join")
             relations.append(_orient(lhs, rhs))
     return relations
+
+
+def _reaches(moves, guard, width, start, target) -> tuple[bool, int]:
+    """Whether the moves rewrite packed counts start into target, and the
+    number of states the search visits, start included and target too
+    when it is met.
+
+    moves maps a generator index to the (src, dst) moves whose source's
+    lowest generator it is, so a state only tries the moves of the
+    generators read off its nonzero digits. A move applies where src fits
+    inside the state, one guarded subtraction.
+    """
+    mask = (1 << width) - 1
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            rest = s
+            while rest:
+                i = ((rest & -rest).bit_length() - 1) // width
+                rest &= ~(mask << (width * i))
+                for src, dst in moves.get(i, ()):
+                    if ((s | guard) - src) & guard == guard:
+                        t = s - src + dst
+                        if t == target:
+                            return True, len(seen) + 1
+                        if t not in seen:
+                            seen.add(t)
+                            nxt.append(t)
+        frontier = nxt
+    return False, len(seen)
+
+
+def greedy_prune(cands, gens, width: int):
+    """The relations kept greedily, with one search per candidate.
+
+    cands are ((a, b), provenance) pairs, a and b sorted tuples of
+    generator indices into gens, which have a name and a vector. A
+    relation formed more than once keeps its first provenance. The
+    distinct relations are taken in order of (total, vector) of their side
+    sums, and one is dropped when the moves of those kept before it, each
+    in both directions, rewrite its one side into its other. A side is
+    held as generator counts packed into one int, one base-2^width digit
+    per generator index. Returns the kept relations as (lhs names, rhs
+    names, provenance), their side sums, and the number of states the
+    searches visit.
+    """
+    first: dict[tuple, str] = {}
+    for rel, prov in cands:
+        first.setdefault(rel, prov)
+    ordered = []
+    for a, b in first:
+        v = tuple(map(sum, zip(*(gens[i].vector for i in a))))
+        ordered.append((sum(v), v, (a, b)))
+    ordered.sort()
+    guard = sum(1 << (width * i + width - 1) for i in range(len(gens)))
+    moves: dict[int, list[tuple[int, int]]] = {}
+    kept, sums, visited = [], [], 0
+    for _, v, (a, b) in ordered:
+        pa = sum(1 << (width * i) for i in a)
+        pb = sum(1 << (width * i) for i in b)
+        found, states = _reaches(moves, guard, width, pa, pb)
+        visited += states
+        if found:
+            continue
+        moves.setdefault(a[0], []).append((pa, pb))
+        moves.setdefault(b[0], []).append((pb, pa))
+        lhs = tuple(gens[i].name for i in a)
+        rhs = tuple(gens[i].name for i in b)
+        kept.append((lhs, rhs, first[a, b]))
+        sums.append(v)
+    return kept, sums, visited
 
 
 # ---------------------------------------------------------------------------

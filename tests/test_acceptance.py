@@ -11,7 +11,7 @@ import random
 import time
 
 from gentle_si.matching import build_graph, generators, is_member, presentation
-from gentle_si.oracle import random_matching_system, verify_presentation
+from gentle_si.oracle import _fprofile, random_matching_system, verify_presentation
 from gentle_si.quivers import color_classes, gentle_cover, monochromatic_ideal
 from gentle_si.ranks import maximal_rank_sequences
 from gentle_si.si import (
@@ -157,7 +157,7 @@ def test_criterion_4_generator_entries_capped_at_two():
         for g in generators(build_graph(sys_)):
             if any(x > 2 for x in g.vector):
                 violations.append(("coordinate", sys_.var_names, g.vector))
-            if any(v > 2 for v in sys_.fprofile(g.vector)):
+            if any(v > 2 for v in _fprofile(sys_, g.vector)):
                 violations.append(("fvalue", sys_.var_names, g.vector))
     assert violations == []
     _report(4, start)

@@ -111,7 +111,7 @@ def test_fibers_equal_box_recomputation(occupancy):
         for u in enumerate_points(sys_, d):
             if not any(u) or any(u[j] for j in free):
                 continue
-            if max(sys_.fprofile(u)) > d:
+            if max(oracle._fprofile(sys_, u)) > d:
                 continue
             decs = decompositions(gens, u)
             if len(decs) > 1:
@@ -176,7 +176,7 @@ def test_generator_profiles_small():
     for sys_ in (closing_system(), running_system(), eleven_var_system()):
         for g in minimal_generators_bruteforce(sys_):
             assert max(g) <= 2
-            assert max(sys_.fprofile(g), default=0) <= 2
+            assert max(oracle._fprofile(sys_, g), default=0) <= 2
 
 
 def test_congruent_on_closing():
