@@ -45,9 +45,11 @@ PEG = "src/gentle_si/peg.py"
 SI = "src/gentle_si/si.py"
 MATCHING = "src/gentle_si/matching.py"
 CLI = "src/gentle_si/cli.py"
+ORACLE = "src/gentle_si/oracle.py"
 PRUNE_TEST = (
     "tests/test_matching.py::test_prune_keeps_what_one_search_per_candidate_keeps"
 )
+WALKS_TEST = "tests/test_matching.py::test_best_walks_match_both_directions"
 
 MUTANTS = (
     # the root graph on partner arrays
@@ -348,6 +350,83 @@ MUTANTS = (
         "roots.append(find(label[side]))",
         "roots.append(label[side])",
         (PRUNE_TEST,),
+    ),
+    # moves held back until the degree rises, walks offered one way
+    Mutant(
+        "matching: pending moves never flushed",
+        MATCHING,
+        "        if key >> shift > degree:\n",
+        "        if False:\n",
+        (PRUNE_TEST,),
+    ),
+    Mutant(
+        "matching: pending moves flushed at every fiber",
+        MATCHING,
+        "        if key >> shift > degree:\n",
+        "        if True:\n",
+        ("tests/test_matching.py::test_chained_system_closed_form",),
+    ),
+    Mutant(
+        "matching: string offered only above its start loop",
+        MATCHING,
+        "if lid >= edges[0]:",
+        "if lid > edges[0]:",
+        (WALKS_TEST,),
+    ),
+    Mutant(
+        "matching: band offered only with its second edge below its last",
+        MATCHING,
+        "and edges[3] <= edges[-2]",
+        "and edges[3] < edges[-2]",
+        (WALKS_TEST,),
+    ),
+    Mutant(
+        "matching: string offered from its upper end loop",
+        MATCHING,
+        "if lid >= edges[0]:",
+        "if lid <= edges[0]:",
+        equivalent="each string is offered from one end or the other, and"
+        " the canonical tokens are the minimum over both directions",
+    ),
+    Mutant(
+        "matching: band offered in its other direction",
+        MATCHING,
+        "and edges[3] <= edges[-2]",
+        "and edges[3] >= edges[-2]",
+        equivalent="the reverse of a band from its smallest edge swaps its"
+        " second and last edges, and the canonical tokens are the minimum"
+        " over both directions",
+    ),
+    # the referee
+    Mutant(
+        "oracle: fiber region one row count short",
+        ORACLE,
+        "if all(prof[r] <= degree_cap for r, _ in sides):",
+        "if all(prof[r] < degree_cap for r, _ in sides):",
+        ("tests/test_oracle.py::test_fibers_equal_box_recomputation",),
+    ),
+    Mutant(
+        "oracle: a fiber of two classes passed",
+        ORACLE,
+        "if len(classes) > 1:",
+        "if len(classes) > 2:",
+        ("tests/test_oracle.py::test_verify_detects_broken_presentations",),
+    ),
+    Mutant(
+        "oracle: mirrored sums without the mirror",
+        ORACLE,
+        "sums = {vecs[0][i] + vecs[1][bx - 1 - i] for i in range(bx)}",
+        "sums = {vecs[0][i] + vecs[1][i] for i in range(bx)}",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: each relation moved one way only",
+        ORACLE,
+        "for src, dst in ((lhs, rhs), (rhs, lhs)):",
+        "for src, dst in ((lhs, rhs),):",
+        equivalent="every multiset of the fiber is moved, and a move from"
+        " rhs to lhs at m is the move from lhs to rhs at its image, which is"
+        " in the fiber too; the union joins both ways",
     ),
     Mutant(
         "cli: model numbers by \\d",

@@ -434,13 +434,17 @@ def _walks(graph: MatchingGraph):
 
     The loop-started pass starts once from each loop. At each dotted step it
     records the walk so far as an X arm, by the end of its last solid edge,
-    and it offers a string wherever a loop at the new end closes the walk.
-    The loop-free pass starts once from each vertex x, at its partner as a
-    virtual end, so its first solid step is taken at x. It records each
-    walk as an H walk, by x and the end of its last solid edge, and it
-    offers a band wherever the walk closes at x with at least two solid
-    edges, the first of them its smallest: so each band is offered from its
-    smallest edge only, in either direction.
+    and it offers a string wherever a loop at the new end closes the walk,
+    if that loop is no smaller than the start loop. The loop-free pass
+    starts once from each vertex x, at its partner as a virtual end, so its
+    first solid step is taken at x. It records each walk as an H walk, by x
+    and the end of its last solid edge, and it offers a band wherever the
+    walk closes at x with at least two solid edges, the first of them its
+    smallest and the second no larger than the last. So each string and
+    each band is offered in one direction only, or in both where the two
+    tests tie: the reverse walk has the same vector and length, and the
+    canonical forms take the minimum over both orientations, so the
+    reverse offer never changes a best walk.
 
     Returns (best, arms, h_walks), all over packed vectors. best maps each
     walk vector u to (edge count, u unpacked, walks): its shortest walks
@@ -478,7 +482,8 @@ def _walks(graph: MatchingGraph):
             arms.setdefault(verts[-2], set()).add(u)
             if fv[w] < 2:
                 for lid, unit in loops[w]:
-                    offer("string", u + unit, verts + [w], edges + [lid])
+                    if lid >= edges[0]:
+                        offer("string", u + unit, verts + [w], edges + [lid])
 
         _extend(graph, verts, edges, fv, e.unit, visit)
 
@@ -488,7 +493,12 @@ def _walks(graph: MatchingGraph):
         def visit(w, u):
             if len(edges) > 1:
                 h_walks.setdefault((x, verts[-2]), set()).add(u)
-            if w == x and len(edges) >= 5 and edges[1] == min(edges[1::2]):
+            if (
+                w == x
+                and len(edges) >= 5
+                and edges[3] <= edges[-2]
+                and edges[1] == min(edges[1::2])
+            ):
                 offer("band", u, verts[1:], edges[1:])
 
         _extend(graph, verts, edges, [0] * len(loops), 0, visit)
@@ -762,7 +772,8 @@ def _explore(moves, guard, width, start, target) -> set:
     whole component. moves maps a generator index to the (src, dst) moves
     whose source's lowest generator it is, so a state only tries the moves
     of the generators read off its nonzero digits. A move applies where
-    src fits inside the state, one guarded subtraction.
+    src fits inside the state, one guarded subtraction, so no state it
+    makes is negative; the digit scan would not end on one.
     """
     mask = (1 << width) - 1
     seen = {start}
@@ -778,6 +789,7 @@ def _explore(moves, guard, width, start, target) -> set:
                     if ((s | guard) - src) & guard == guard:
                         t = s - src + dst
                         if t not in seen:
+                            require(t >= 0, "a pruning move made a negative count")
                             seen.add(t)
                             if t == target:
                                 return seen
@@ -792,11 +804,12 @@ def _join(moves, guard, width, fiber):
 
     The classes start as the components under moves, which hold the moves
     of lower fibers only: each side's component is explored once and
-    labelled. A union-find over the labels then takes the candidates in
-    turn. A move of this fiber rewrites only its own side, the one
-    multiset of the fiber that it fits, into its other side, so a
-    candidate whose sides share a class is implied by the lower moves and
-    the candidates kept before it, and one that joins two classes is not.
+    labelled, or is the side alone when there are no moves. A union-find
+    over the labels then takes the candidates in turn. A move of this
+    fiber rewrites only its own side, the one multiset of the fiber that
+    it fits, into its other side, so a candidate whose sides share a class
+    is implied by the lower moves and the candidates kept before it, and
+    one that joins two classes is not.
     """
     label: dict[int, int] = {}
     parent: list[int] = []
@@ -812,8 +825,11 @@ def _join(moves, guard, width, fiber):
         roots = []
         for side in cand[2:]:
             if side not in label:
-                for t in _explore(moves, guard, width, side, 0):
-                    label[t] = len(parent)
+                if moves:
+                    for t in _explore(moves, guard, width, side, 0):
+                        label[t] = len(parent)
+                else:
+                    label[side] = len(parent)
                 parent.append(len(parent))
             roots.append(find(label[side]))
         ra, rb = roots
@@ -840,6 +856,16 @@ def _prune(
     other; a larger one is settled by _join. A relation formed more than
     once keeps its first provenance. Returns the kept relations and, in
     the same order, their side sums.
+
+    The moves of a fiber join the search only once the total of the side
+    sums, the degree, rises past it. A move from the fiber of sum G fits a
+    multiset of sum F only as its side plus a rest of sum F - G. At equal
+    totals the rest has total 0, so it is empty, since each generator it
+    holds has total at least 2, and F = G. So a move never fires in
+    another fiber of its own degree, and holding it back changes nothing
+    that is kept. Until some move is in, there is nothing to search: a
+    single candidate is kept, and each side of a larger fiber is its own
+    class.
     """
     if not cands:
         return [], []
@@ -870,7 +896,15 @@ def _prune(
     moves: dict[int, list[tuple[int, int]]] = {}
     kept = []
     sums = []
+    # kept[:flushed] have their moves in moves; the rest are of this degree
+    degree = flushed = 0
     for key, group in itertools.groupby(ordered, operator.itemgetter(0)):
+        if key >> shift > degree:
+            degree = key >> shift
+            for a, b, pa, pb in kept[flushed:]:
+                moves.setdefault(a[0], []).append((pa, pb))
+                moves.setdefault(b[0], []).append((pb, pa))
+            flushed = len(kept)
         fiber = [
             (a, b, sum(map(units.__getitem__, a)), sum(map(units.__getitem__, b)))
             for _, a, b in group
@@ -878,13 +912,10 @@ def _prune(
         if len(fiber) == 1:
             # the sides of a candidate are disjoint, so pa != pb
             _, _, pa, pb = fiber[0]
-            if pb in _explore(moves, guard, width, pa, pb):
+            if moves and pb in _explore(moves, guard, width, pa, pb):
                 continue
         else:
             fiber = _join(moves, guard, width, fiber)
-        for a, b, pa, pb in fiber:
-            moves.setdefault(a[0], []).append((pa, pb))
-            moves.setdefault(b[0], []).append((pb, pa))
         kept += fiber
         # the key's low fields hold the side sum, its last entry first
         sums += [_unpack(key, n)[::-1]] * len(fiber)

@@ -6,6 +6,8 @@ slower way, from first principles, reading only the equations: points by a
 box scan, generators by subtracting points inside the box, decompositions
 and relation congruence by search, relations by joining every fiber's
 classes, and the engine's relation pruning by one search per candidate.
+Each walk vector's best walk is chosen from every string and band walked
+in both directions.
 The tests wire them against the referee and the engine. The samplers
 draw random colored quivers, and rank components that reach the
 relation path; disjoint_copies repeats a component k times. The quiver
@@ -300,6 +302,110 @@ def greedy_prune(cands, gens, width: int):
         kept.append((lhs, rhs, first[a, b]))
         sums.append(v)
     return kept, sums, visited
+
+
+# ---------------------------------------------------------------------------
+# best walks, every string and band walked in both directions
+
+DOTTED = -1  # the edge entry of a dotted step, as the engine writes it
+
+
+def best_walks_both_directions(graph) -> dict[tuple[int, ...], tuple]:
+    """Each walk vector's best walk, as (kind, vertices, edges): of its
+    walks with the fewest edges, the one of smallest canonical tokens, in
+    its canonical orientation.
+
+    graph is a matching graph: vertex v of 1..2m is dotted-matched to
+    v + m or v - m, and each solid edge has a .var and .ends, (v,) for a
+    loop. Strings are walked from each loop, and closed at every loop of
+    every end reached; bands are walked from every vertex x along every
+    solid edge at x, and closed at every return to x. So each string and
+    band is walked in both directions, and each band from every solid
+    edge. A solid edge counts once at each end and a loop once at its
+    vertex, and no row count passes 2. A walk's tokens are its first
+    vertex, then each step's variable (or DOTTED) and vertex; its
+    orientations are its two directions, each band rotated to start at
+    each of its solid edges.
+    """
+    m, solid = graph.m, graph.solid_edges
+    steps: dict[int, list[tuple[int, int]]] = {}
+    loops: dict[int, list[int]] = {}
+    for eid, e in enumerate(solid):
+        if len(e.ends) == 1:
+            loops.setdefault(e.ends[0], []).append(eid)
+        else:
+            p, q = e.ends
+            steps.setdefault(p, []).append((eid, q))
+            steps.setdefault(q, []).append((eid, p))
+
+    def tokens(vertices, edges):
+        out = [vertices[0]]
+        for e, v in zip(edges, vertices[1:]):
+            out += [DOTTED if e == DOTTED else solid[e].var, v]
+        return tuple(out)
+
+    def orientations(kind, vertices, edges):
+        both = [(vertices, edges), (vertices[::-1], edges[::-1])]
+        if kind == "string":
+            return both
+        return [
+            (vv[i:-1] + vv[:i] + (vv[i],), ee[i:] + ee[:i])
+            for vv, ee in both
+            for i in range(len(ee))
+            if ee[i] != DOTTED
+        ]
+
+    found: dict[tuple[int, ...], tuple] = {}
+
+    def offer(kind, vertices, edges):
+        u = [0] * graph.system.num_vars
+        for e in edges:
+            if e != DOTTED:
+                u[solid[e].var] += 1
+        key, vv, ee = min(
+            (tokens(vv, ee), vv, ee)
+            for vv, ee in orientations(kind, tuple(vertices), tuple(edges))
+        )
+        rank = (len(edges), key, kind, vv, ee)
+        if tuple(u) not in found or rank < found[tuple(u)]:
+            found[tuple(u)] = rank
+
+    count = Counter()
+
+    def extend(verts, edges, visit):
+        w = verts[-1] + m if verts[-1] <= m else verts[-1] - m
+        verts.append(w)
+        edges.append(DOTTED)
+        visit(verts, edges)
+        for eid, z in steps.get(w, ()):
+            if count[w] < 2 and count[z] < 2:
+                count[w] += 1
+                count[z] += 1
+                extend(verts + [z], edges + [eid], visit)
+                count[w] -= 1
+                count[z] -= 1
+        verts.pop()
+        edges.pop()
+
+    def close_string(verts, edges):
+        w = verts[-1]
+        if count[w] < 2:
+            for lid in loops.get(w, ()):
+                offer("string", verts + [w], edges + [lid])
+
+    for v0, lids in loops.items():
+        for lid in lids:
+            count[v0] += 1
+            extend([v0, v0], [lid], close_string)
+            count[v0] -= 1
+    for x in range(1, 2 * m + 1):
+
+        def close_band(verts, edges, x=x):
+            if verts[-1] == x and len(edges) >= 5:
+                offer("band", verts[1:], edges[1:])
+
+        extend([x + m if x <= m else x - m], [], close_band)
+    return {u: (kind, vv, ee) for u, (_, _, kind, vv, ee) in found.items()}
 
 
 # ---------------------------------------------------------------------------

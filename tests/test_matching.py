@@ -25,6 +25,7 @@ from fixtures import (
     running_system,
 )
 from reference import (
+    best_walks_both_directions,
     congruent,
     greedy_prune,
     minimal_generators_bruteforce,
@@ -471,7 +472,7 @@ def test_presentation_as_dict_shape(running_pres):
 
 # the states that one search per candidate visits on chain (k, w), as
 # tests/reference.py's greedy_prune counts them
-GREEDY_STATES = {(3, 2): 161, (4, 2): 1324, (5, 2): 9781, (3, 3): 8343, (4, 3): 162567}
+GREEDY_STATES = {(3, 2): 161, (4, 2): 1324, (3, 3): 8343}
 
 
 def _count_states(monkeypatch):
@@ -488,20 +489,39 @@ def _count_states(monkeypatch):
     return visited
 
 
-@pytest.mark.parametrize("k,w", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+def _count_tries(monkeypatch):
+    """A one-item list that sums the moves each pruning search tries: every
+    move it reads for a state, whether or not the move fits."""
+    tried = [0]
+    explore = matching._explore
+
+    class Counted(dict):
+        def get(self, i, default=()):
+            found = dict.get(self, i, default)
+            tried[0] += len(found)
+            return found
+
+    monkeypatch.setattr(
+        matching, "_explore", lambda moves, *args: explore(Counted(moves), *args)
+    )
+    return tried
+
+
+@pytest.mark.parametrize("k,w", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (7, 2)])
 def test_chained_system_closed_form(k, w, monkeypatch):
     """chain(k, w): equation i reads u(i,1) + ... + u(i,w) = u(i+1,1) + ...
     + u(i+1,w). Its ring is the Segre product of k + 1 polynomial rings in w
     variables, so it has N = w^(k+1) generators, one variable per group, and
-    C(N+1, 2) - C(w+1, 2)^(k+1) relations, all balanced and quadratic.
-    Pruning visits fewer states than one search per candidate does: 25,758
-    against 162,567 on chain (4, 3).
+    C(N+1, 2) - C(w+1, 2)^(k+1) relations, all balanced and quadratic:
+    26,335 on chain (7, 2). Every generator has total k + 1, so every
+    candidate has one degree, and pruning tries no move at all: a move of
+    one degree fits no other fiber of that degree.
     """
     group = [[f"u{i}_{j}" for j in range(1, w + 1)] for i in range(1, k + 2)]
     sys_ = make_system([(group[i], group[i + 1]) for i in range(k)])
-    visited = _count_states(monkeypatch)
+    tried = _count_tries(monkeypatch)
     p = presentation(sys_)
-    assert 0 < visited[0] < GREEDY_STATES[k, w]
+    assert tried == [0]
 
     n = w ** (k + 1)
     assert len(p.generators) == n
@@ -950,9 +970,11 @@ def test_swap_candidates_keep_counts_apart_in_packed_keys():
 
 
 def test_closing_bands_canonicalise_few_closures(monkeypatch):
-    """One closing presentation canonicalises only the shortest walks of its
-    8 generators: 8 strings and 8 bands (80 when every walk offered was, 48
-    strings and 32 bands; 120 band calls when every closure from every edge
+    """One closing presentation canonicalises only the shortest walks
+    offered for its 8 generators: 4 strings and 5 bands, each string and
+    band offered in one direction (8 and 8 when both directions were; 42
+    when every shortest walk offered was, 24 strings and 18 bands, and 80
+    in both directions; 120 band calls when every closure from every edge
     was). Its 14 bands have 13 vectors."""
     graph = build_graph(closing_system())
     assert sum(w.kind == "band" for w in _best_walks(graph).values()) == 13
@@ -965,7 +987,30 @@ def test_closing_bands_canonicalise_few_closures(monkeypatch):
 
         monkeypatch.setattr(matching, name, counted)
     presentation(closing_system())
-    assert sorted(calls) == ["_band_canonical"] * 8 + ["_string_canonical"] * 8
+    assert sorted(calls) == ["_band_canonical"] * 5 + ["_string_canonical"] * 4
+
+
+def test_best_walks_match_both_directions():
+    """Each string and band is offered in one direction, yet every walk
+    vector's best walk is the one chosen from every string and band walked
+    both ways: on the bundled systems, 1,000 default draws and 500 draws of
+    the (2, 2, 2, 1) mix, among them strings that start and end at one loop
+    and bands of two solid edges."""
+    rng = random.Random(2801)
+    systems = [closing_system(), eleven_var_system(), running_system()]
+    systems += [oracle.random_matching_system(rng) for _ in range(1000)]
+    systems += [
+        oracle.random_matching_system(rng, occupancy=(2, 2, 2, 1)) for _ in range(500)
+    ]
+    same_loop = two_edge = 0
+    for sys_ in systems:
+        graph = build_graph(sys_)
+        got = {u: (w.kind, w.vertices, w.edges) for u, w in _best_walks(graph).items()}
+        assert got == best_walks_both_directions(graph), sys_.rows
+        for kind, _, edges in got.values():
+            same_loop += kind == "string" and edges[0] == edges[-1]
+            two_edge += kind == "band" and len(edges) == 4
+    assert same_loop and two_edge
 
 
 def test_closing_presentation_starts_twelve_walks(monkeypatch):
