@@ -91,12 +91,41 @@ MUTANTS = (
     Mutant(
         "si: strings read off their second endpoint",
         SI,
-        "extract.endpoint_of[cp.endpoints[0]].phi",
-        "extract.endpoint_of[cp.endpoints[1]].phi",
+        "extract.endpoint_of[cp.ends[0]].phi",
+        "extract.endpoint_of[cp.ends[1]].phi",
         (
             "tests/test_peg.py"
             "::test_partner_arrays_match_the_general_graph_on_bundled_models",
         ),
+    ),
+    # the presentation path on root numbers, Roots built on first read
+    Mutant(
+        "peg: endpoint index read one off its pair start",
+        PEG,
+        "            i = k - f + 1\n",
+        "            i = k - f\n",
+        ("tests/test_peg.py::test_running_endpoint_classes",),
+    ),
+    Mutant(
+        "si: label taken from the root after the smallest",
+        SI,
+        "smallest = [min(cp.numbers) for cp",
+        "smallest = [min(cp.numbers) + 1 for cp",
+        ("tests/test_si.py::test_running_component_labels",),
+    ),
+    Mutant(
+        "peg: lazily built colored edges without their last",
+        PEG,
+        "for i, j in enumerate(self.cpart) if j > i\n        )",
+        "for i, j in enumerate(self.cpart) if j > i\n        )[:-1]",
+        ("tests/test_peg.py::test_determinant_peg_shape",),
+    ),
+    Mutant(
+        "si: membership skips the last touched vertex",
+        SI,
+        "set().union(*map(touches.__getitem__, arrows))):",
+        "set().union(*map(touches.__getitem__, arrows)))[:-1]:",
+        ("tests/test_si.py",),
     ),
     # translation to partition maps
     Mutant(

@@ -410,22 +410,22 @@ def _cmd_peg(model: ModelFile) -> dict:
     comps = []
     for cp in ctx.extract.components:
         if cp.kind == "string":
-            ep_roots = cp.endpoints
+            ends = cp.ends
         elif cp.kind == "isolated":
-            ep_roots = cp.roots
+            ends = cp.numbers
         else:
-            ep_roots = ()
+            ends = ()
         comps.append(
             {
                 "kind": cp.kind,
                 "roots": [list(rt) for rt in cp.roots],
                 "endpoints": [
                     {
-                        "root": list(rt),
-                        "cls": endpoint_of[rt].cls,
-                        "phi": list(endpoint_of[rt].phi),
+                        "root": list(endpoint_of[k].root),
+                        "cls": endpoint_of[k].cls,
+                        "phi": list(endpoint_of[k].phi),
                     }
-                    for rt in ep_roots
+                    for k in ends
                 ],
             }
         )

@@ -17,8 +17,10 @@ arrow values, so those emit equations with an empty right side.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 from .errors import InputError, InvariantError, require
@@ -42,26 +44,66 @@ class Root(NamedTuple):
         return f"Root({self.vertex},{self.color},{self.index})"
 
 
-@dataclass
+# Root from a (vertex, color, index) tuple, without NamedTuple's Python-level __new__
+_new_root = partial(tuple.__new__, Root)
+
+
+@dataclass(repr=False)
 class PegGraph:
     """The root graph, with the color incidence its roots are read from and
     the slack beta(x) - r(in) - r(out) at each incidence pair.
 
-    Roots are numbered by their place in roots, which is sorted: root i at
-    pair (x, s) is first[(x, s)] + i - 1. A root has at most one edge of
-    each kind, so each kind is a partner array over the numbers, -1 where a
-    root has no edge of it: vpart for the mirror pairs, cpart for the
-    index-reflected pairs along arrows.
+    Roots are numbered in sorted order: root i at pair (x, s) is
+    first[(x, s)] + i - 1, and a pair's roots run up to the next pair's
+    first number. A root has at most one edge of each kind, so each kind is
+    a partner array over the numbers, -1 where a root has no edge of it:
+    vpart for the mirror pairs, cpart for the index-reflected pairs along
+    arrows, with carrow the arrow of each root's cpart edge. The pipeline
+    reads numbers only; roots, vertex_edges and colored_edges give the same
+    graph as Roots and are built on first read.
     """
 
-    roots: tuple[Root, ...]
-    vertex_edges: tuple[tuple[Root, Root], ...]
-    colored_edges: tuple[tuple[Root, Root, str], ...]
-    inc: dict[tuple[str, str], Incidence] = field(repr=False)
-    slack: dict[tuple[str, str], int] = field(repr=False)
-    first: dict[tuple[str, str], int] = field(repr=False)
-    vpart: list[int] = field(repr=False)
-    cpart: list[int] = field(repr=False)
+    inc: dict[tuple[str, str], Incidence]
+    slack: dict[tuple[str, str], int]
+    first: dict[tuple[str, str], int]
+    vpart: list[int]
+    cpart: list[int]
+    carrow: list[Optional[str]]
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        """Every root, sorted, so that roots[k] has number k."""
+        return tuple(
+            _new_root((x, s, i))
+            for x, s, f, end in self._blocks()
+            for i in range(1, end - f + 1)
+        )
+
+    @cached_property
+    def vertex_edges(self) -> tuple[tuple[Root, Root], ...]:
+        roots = self.roots
+        return tuple((roots[i], roots[j]) for i, j in enumerate(self.vpart) if j > i)
+
+    @cached_property
+    def colored_edges(self) -> tuple[tuple[Root, Root, str], ...]:
+        roots, carrow = self.roots, self.carrow
+        return tuple(
+            (roots[i], roots[j], carrow[i]) for i, j in enumerate(self.cpart) if j > i
+        )
+
+    def _blocks(self) -> list[tuple[str, str, int, int]]:
+        """(vertex, color, first number, end number) for each incidence pair."""
+        ends = [*list(self.first.values())[1:], len(self.vpart)]
+        return [(x, s, f, e) for ((x, s), f), e in zip(self.first.items(), ends)]
+
+    def _roots_at(self, numbers: list[int]) -> list[Root]:
+        """The roots with the given numbers, read off the pair table."""
+        pairs, starts = list(self.first), list(self.first.values())
+        out = []
+        for k in numbers:
+            j = bisect_right(starts, k) - 1  # the last pair starting at or before k
+            out.append(_new_root((*pairs[j], k - starts[j] + 1)))
+        return out
 
     def _number(self, root) -> int:
         """The number of root, or InputError naming it if it is none."""
@@ -91,11 +133,10 @@ def build_peg(
             raise InputError(f"vertex {v} carries {len(colors)} colors")
 
     first: dict[tuple[str, str], int] = {}
-    roots: list[Root] = []
+    n = 0
     for (x, s) in inc:
-        first[(x, s)] = len(roots)
-        roots += [Root(x, s, i) for i in range(1, beta[x])]
-    n = len(roots)
+        first[(x, s)] = n
+        n += max(beta[x] - 1, 0)
 
     # mirror pairs: (x, s1, i) <-> (x, s2, beta(x) - i)
     vpart = [-1] * n
@@ -123,28 +164,38 @@ def build_peg(
         cpart[h - ra + 2:h + 1] = range(t + ra - 2, t - 1, -1)
         carrow[t:t + ra - 1] = carrow[h - ra + 2:h + 1] = [a.name] * (ra - 1)
 
-    return PegGraph(
-        roots=tuple(roots),
-        vertex_edges=tuple(
-            (roots[i], roots[j]) for i, j in enumerate(vpart) if j > i
-        ),
-        colored_edges=tuple(
-            (roots[i], roots[j], carrow[i]) for i, j in enumerate(cpart) if j > i
-        ),
-        inc=inc,
-        slack=slack,
-        first=first,
-        vpart=vpart,
-        cpart=cpart,
-    )
+    return PegGraph(inc, slack, first, vpart, cpart, carrow)
 
 
-@dataclass
+@dataclass(eq=False)
 class PegComponent:
+    """A component as root numbers: numbers in walk order, ends the two
+    walk ends of a string and empty otherwise. roots and endpoints give the
+    same as Roots, are built on first read, and are what == compares."""
+
     kind: str  # "string", "band", "isolated"
-    roots: tuple[Root, ...]
-    endpoints: tuple[Root, ...]  # two walk ends for strings, empty otherwise
-    numbers: tuple[int, ...] = field(repr=False, compare=False)  # of roots, in order
+    numbers: tuple[int, ...]
+    ends: tuple[int, ...]
+    graph: PegGraph = field(repr=False)
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        roots = self.graph.roots
+        return tuple([roots[k] for k in self.numbers])
+
+    @cached_property
+    def endpoints(self) -> tuple[Root, ...]:
+        roots = self.graph.roots
+        return tuple([roots[k] for k in self.ends])
+
+    def __eq__(self, other):
+        if not isinstance(other, PegComponent):
+            return NotImplemented
+        return (self.kind, self.roots, self.endpoints) == (
+            other.kind,
+            other.roots,
+            other.endpoints,
+        )
 
 
 def _walk(
@@ -165,6 +216,18 @@ def _walk(
     return walk, nxt
 
 
+def _low(graph: PegGraph) -> list[int]:
+    """The numbers of the roots of degree <= 1, ascending: those that one
+    partner array leaves unpaired."""
+    low = set()
+    for part in (graph.vpart, graph.cpart):
+        k = -1
+        for _ in range(part.count(-1)):
+            k = part.index(-1, k + 1)
+            low.add(k)
+    return sorted(low)
+
+
 def components(graph: PegGraph) -> list[PegComponent]:
     """Connected components in canonical order and orientation.
 
@@ -173,28 +236,27 @@ def components(graph: PegGraph) -> list[PegComponent]:
     minimum over even rotations and both directions; components are listed
     by smallest root.
     """
-    roots, vpart, cpart = graph.roots, graph.vpart, graph.cpart
-    n = len(roots)
+    vpart, cpart = graph.vpart, graph.cpart
+    n = len(vpart)
     for part in (vpart, cpart):
         unpaired = part.count(-1)
         if len(set(part)) - (unpaired > 0) != n - unpaired:
             twice = min(j for j, k in Counter(part).items() if j >= 0 and k > 1)
-            raise InvariantError(f"root {roots[twice]} has two edges of one kind")
+            raise InvariantError(f"root {graph.roots[twice]} has two edges of one kind")
 
     seen = bytearray(n)
     found = []
-    for e in range(n):
-        if seen[e] or (vpart[e] >= 0 and cpart[e] >= 0):
+    for e in _low(graph):
+        if seen[e]:
             continue
         if vpart[e] < 0 and cpart[e] < 0:
             seen[e] = 1
-            found.append((e, PegComponent("isolated", (roots[e],), (), (e,))))
+            found.append((e, PegComponent("isolated", (e,), (), graph)))
             continue
         walk, stop = _walk(graph, e, vpart[e] >= 0, seen)
         if stop >= 0:
-            raise InvariantError(f"string component with ends {[roots[e]]}")
-        path = tuple([roots[k] for k in walk])
-        comp = PegComponent("string", path, (path[0], path[-1]), tuple(walk))
+            raise InvariantError(f"string component with ends {[graph.roots[e]]}")
+        comp = PegComponent("string", tuple(walk), (e, walk[-1]), graph)
         found.append((min(walk), comp))
     start = seen.find(0)
     while start >= 0:
@@ -204,8 +266,7 @@ def components(graph: PegGraph) -> list[PegComponent]:
             len(walk) % 2 == 0 and len(walk) >= 4,
             f"band of odd or short length {len(walk)}",
         )
-        comp = PegComponent("band", tuple([roots[k] for k in walk]), (), tuple(walk))
-        found.append((start, comp))
+        found.append((start, PegComponent("band", tuple(walk), (), graph)))
         start = seen.find(0, start + 1)
     found.sort(key=lambda pair: pair[0])
     return [comp for _, comp in found]
@@ -228,26 +289,30 @@ class Endpoint:
 def classify_endpoints(
     graph: PegGraph, beta: dict[str, int], r: dict[str, int]
 ) -> list[Endpoint]:
+    """The roots of degree <= 1 in root order, each with its class and phi."""
     ncolors = Counter(x for x, _ in graph.inc)
-    vpart, cpart = graph.vpart, graph.cpart
+    low = _low(graph)
     out = []
-    for k, root in enumerate(graph.roots):
-        if vpart[k] >= 0 and cpart[k] >= 0:
+    for x, s, f, end in graph._blocks():
+        at = low[bisect_left(low, f):bisect_left(low, end)]
+        if not at:
             continue
-        pair = graph.inc[(root.vertex, root.color)]
+        pair = graph.inc[(x, s)]
         ro = r[pair.out_arrow] if pair.out_arrow else 0
         ri = r[pair.in_arrow] if pair.in_arrow else 0
-        bx = beta[root.vertex]
-        if root.index == ro and ro + ri == bx:
-            sub, phi = "a", (pair.out_arrow, pair.in_arrow)
-        elif root.index == ro:
-            sub, phi = "b", (pair.out_arrow,)
-        elif root.index == bx - ri:
-            sub, phi = "c", (pair.in_arrow,)
-        else:
-            sub, phi = "d", ()
-        prefix = "I" if ncolors[root.vertex] == 2 else "II"
-        out.append(Endpoint(root, prefix + sub, phi))
+        bx = beta[x]
+        prefix = "I" if ncolors[x] == 2 else "II"
+        for k in at:
+            i = k - f + 1
+            if i == ro and ro + ri == bx:
+                sub, phi = "a", (pair.out_arrow, pair.in_arrow)
+            elif i == ro:
+                sub, phi = "b", (pair.out_arrow,)
+            elif i == bx - ri:
+                sub, phi = "c", (pair.in_arrow,)
+            else:
+                sub, phi = "d", ()
+            out.append(Endpoint(_new_root((x, s, i)), prefix + sub, phi))
     return out
 
 
@@ -261,13 +326,14 @@ def theta(graph: PegGraph, root) -> Root:
     if degree > 1:
         raise InputError(f"{root} is interior, not an endpoint")
     k = graph._number(root)
-    walk, _ = _walk(graph, k, graph.vpart[k] >= 0, bytearray(len(graph.roots)))
+    walk, _ = _walk(graph, k, graph.vpart[k] >= 0, bytearray(len(graph.vpart)))
     return graph.roots[walk[-1]]
 
 
 @dataclass
 class MatchingSystemExtract:
-    """The extracted system with the components and endpoints it was read from."""
+    """The extracted system with the components and endpoints it was read
+    from; endpoint_of holds each endpoint by its root's number."""
 
     system: MatchingSystem
     string_index: dict[int, tuple[Endpoint, Endpoint]]
@@ -275,7 +341,7 @@ class MatchingSystemExtract:
     free_arrows: tuple[str, ...]
     band_index: tuple[PegComponent, ...]
     components: list[PegComponent]
-    endpoint_of: dict[Root, Endpoint]
+    endpoint_of: dict[int, Endpoint]
 
 
 def extract_matching_system(
@@ -287,7 +353,10 @@ def extract_matching_system(
     on both sides of an equation is cancelled; 0 = 0 equations are dropped.
     """
     comps = components(graph)
-    endpoint_of = {ep.root: ep for ep in classify_endpoints(graph, beta, r)}
+    endpoint_of = {}
+    for ep in classify_endpoints(graph, beta, r):
+        x, s, i = ep.root
+        endpoint_of[graph.first[(x, s)] + i - 1] = ep
     var_names = sorted(a for a in q.arrow_names() if r[a] > 0)
     equations = []
     string_index: dict[int, tuple[Endpoint, Endpoint]] = {}
@@ -298,12 +367,12 @@ def extract_matching_system(
             bands.append(comp)
             continue
         if comp.kind == "isolated":
-            ep = endpoint_of[comp.roots[0]]
+            ep = endpoint_of[comp.numbers[0]]
             if ep.phi:
                 forced_index[len(equations)] = ep
                 equations.append((ep.phi, ()))
             continue
-        e1, e2 = endpoint_of[comp.endpoints[0]], endpoint_of[comp.endpoints[1]]
+        e1, e2 = endpoint_of[comp.ends[0]], endpoint_of[comp.ends[1]]
         lhs = [a for a in e1.phi if a not in e2.phi]
         rhs = [a for a in e2.phi if a not in e1.phi]
         if not lhs and not rhs:

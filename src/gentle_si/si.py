@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from itertools import compress, groupby
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, require
 from .matching import Presentation, is_member, presentation
@@ -60,7 +60,8 @@ class PegContext:
     that order; positions is its transpose, the (arrow, height) pairs of
     each component. var_pos maps each variable to its position, readers
     lists for each variable the string components whose first endpoint
-    reads it (once per read), and band_slots the bands in order.
+    reads it (once per read), and band_slots the bands in order. zero_runs
+    is the all-zero partition map, r(a) zeros at each arrow a, as runs.
     """
 
     q: Quiver
@@ -73,6 +74,7 @@ class PegContext:
     var_pos: dict[str, int]
     readers: tuple[tuple[int, ...], ...]
     band_slots: tuple[int, ...]
+    zero_runs: dict[str, Runs]
 
 
 def peg_context(
@@ -81,14 +83,15 @@ def peg_context(
     graph = build_peg(q, c, beta, r)
     extract = extract_matching_system(graph, q, beta, r)
     comps = extract.components
-    comp_of = [0] * len(graph.roots)
+    comp_of = [0] * len(graph.vpart)
     for idx, cp in enumerate(comps):
         for k in cp.numbers:
             comp_of[k] = idx
     arrow_comps = {}
     for a in q.arrows:
         t = graph.first[(a.tail, c.color(a.name))]  # the tail root of height 1
-        arrow_comps[a.name] = tuple(comp_of[t:t + r[a.name] - 1])
+        # a rank-0 arrow has no heights; its slice would run back from t
+        arrow_comps[a.name] = tuple(comp_of[t:t + r[a.name] - 1]) if r[a.name] else ()
     positions: list[list[tuple[str, int]]] = [[] for _ in comps]
     for a, idxs in arrow_comps.items():
         for h, idx in enumerate(idxs, 1):
@@ -97,12 +100,13 @@ def peg_context(
     readers: list[list[int]] = [[] for _ in var_pos]
     for idx, cp in enumerate(comps):
         if cp.kind == "string":
-            for a in extract.endpoint_of[cp.endpoints[0]].phi:
+            for a in extract.endpoint_of[cp.ends[0]].phi:
                 readers[var_pos[a]].append(idx)
     band_slots = tuple(idx for idx, cp in enumerate(comps) if cp.kind == "band")
+    zero_runs = {a: Runs(((0, r[a]),) if r[a] else ()) for a in q.arrow_names()}
     return PegContext(
         q, beta, r, graph, extract, arrow_comps, tuple(map(tuple, positions)),
-        var_pos, tuple(map(tuple, readers)), band_slots,
+        var_pos, tuple(map(tuple, readers)), band_slots, zero_runs,
     )
 
 
@@ -172,11 +176,8 @@ def component_values(
 
 def component_labels(ctx: PegContext) -> list[str]:
     """One label per component, its smallest root in vertex|color|index form."""
-    out = []
-    for cp in ctx.extract.components:
-        rt = min(cp.roots)
-        out.append(f"{rt.vertex}|{rt.color}|{rt.index}")
-    return out
+    smallest = [min(cp.numbers) for cp in ctx.extract.components]
+    return [f"{x}|{s}|{i}" for x, s, i in ctx.graph._roots_at(smallest)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +194,16 @@ def lambda_from_uy(
     matching system, y gives one value per band and defaults to zero.
     """
     u, y = _check_uy(ctx, u, y)
-    lam = _partition_runs(ctx, u, _jumps(ctx, u, zip(ctx.band_slots, y)))
+    lam, _ = _partition_runs(ctx, u, _jumps(ctx, u, zip(ctx.band_slots, y)))
     return {a: runs.expand() for a, runs in lam.items()}
 
 
 def _partition_runs(
     ctx: PegContext, u: Sequence[int], jumps: dict[int, int]
-) -> dict[str, Runs]:
-    """lambda_from_uy as runs, from the nonzero jumps alone.
+) -> tuple[dict[str, Runs], set[str]]:
+    """lambda_from_uy as runs, from the nonzero jumps alone, with the arrows
+    whose runs were built: those a nonzero entry of u or a jump reaches.
+    Every other arrow keeps its zero runs.
 
     A partition changes value only at the heights of its arrow's components
     with a nonzero jump, so its runs end there and at r(a).
@@ -209,12 +212,10 @@ def _partition_runs(
     for idx, v in jumps.items():
         for a, h in ctx.positions[idx]:
             steps.setdefault(a, []).append((h, v))
-    lam: dict[str, Runs] = {}
-    for a in ctx.q.arrow_names():
+    reached = {*steps, *compress(ctx.extract.system.var_names, u)}
+    lam = ctx.zero_runs.copy()
+    for a in reached:
         r = ctx.r[a]
-        if r == 0:
-            lam[a] = Runs(())
-            continue
         acc = u[ctx.var_pos[a]]
         at = steps.get(a)
         if not at:
@@ -230,7 +231,7 @@ def _partition_runs(
             prev = h
         runs.append((acc, r - prev))
         lam[a] = Runs(tuple(runs))
-    return lam
+    return lam, reached
 
 
 def _check_partitions(q: Quiver, lam: PartitionMap) -> None:
@@ -283,13 +284,25 @@ def si_membership(
         for a, parts in lam.items()
     }
     length = {a: len(parts) for a, parts in lam.items()}
-    return _membership(runs, _vertex_plan(q, beta, color_incidence(q, c), length))
+    plan = _vertex_plan(q, beta, color_incidence(q, c), length)
+    return _membership(runs, plan, [a for a, parts in lam.items() if any(parts)])
 
 
-# each vertex in sorted order with its incidence pairs, by color, as
-# (out arrow, in arrow, padding); no pairs where nothing is constrained
+# an incidence pair as (out arrow, in arrow, padding)
 _Pair = tuple[Optional[str], Optional[str], int]
-_VertexPlan = list[tuple[str, list[_Pair]]]
+
+
+class _VertexPlan(NamedTuple):
+    """Each vertex in sorted order with its incidence pairs, by color; no
+    pairs where nothing is constrained. touches maps each arrow to the
+    places in vertices of the vertices whose pairs hold it. refused is the
+    place of the first vertex whose layout is refused, len(vertices) if
+    none is. zero_sigma is 0 at every vertex, in order."""
+
+    vertices: list[tuple[str, list[_Pair]]]
+    touches: dict[str, list[int]]
+    refused: int
+    zero_sigma: dict[str, int]
 
 
 def _vertex_plan(
@@ -300,8 +313,9 @@ def _vertex_plan(
 ) -> _VertexPlan:
     """The incidence vectors' layout at each vertex: the out arrow's parts,
     then zeros up to beta, then the in arrow's parts negated and reversed,
-    for partitions with the given number of parts at each arrow. A negative
-    padding means the parts exceed the dimension."""
+    for partitions with the given number of parts at each arrow. A layout
+    is refused where a padding is negative, for the parts exceed the
+    dimension, or where a vertex carries more than two colors."""
     at: dict[str, list[_Pair]] = {}
     for (x, _), pair in inc.items():
         out_a, in_a = pair.out_arrow, pair.in_arrow
@@ -309,7 +323,19 @@ def _vertex_plan(
         pad -= length[out_a] if out_a else 0
         pad -= length[in_a] if in_a else 0
         at.setdefault(x, []).append((out_a, in_a, pad))
-    return [(x, at.get(x, []) if beta[x] else []) for x in sorted(q.vertices)]
+    order = sorted(q.vertices)
+    vertices = [(x, at.get(x, []) if beta[x] else []) for x in order]
+    touches: dict[str, list[int]] = {a: [] for a in length}
+    refused = len(vertices)
+    for place, (_, pairs) in enumerate(vertices):
+        for out_a, in_a, pad in pairs:
+            if out_a:
+                touches[out_a].append(place)
+            if in_a:
+                touches[in_a].append(place)
+            if (pad < 0 or len(pairs) > 2) and place < refused:
+                refused = place
+    return _VertexPlan(vertices, touches, refused, dict.fromkeys(order, 0))
 
 
 def _mirror_sums(
@@ -331,29 +357,28 @@ def _mirror_sums(
     return sums
 
 
-def _membership(lam: dict[str, Runs], plan: _VertexPlan) -> MembershipResult:
-    """si_membership on checked partition runs laid out by plan."""
-    sigma: dict[str, int] = {}
-    for x, pairs in plan:
-        if not pairs:
-            sigma[x] = 0
-            continue
+def _membership(
+    lam: dict[str, Runs], plan: _VertexPlan, arrows: Iterable[str]
+) -> MembershipResult:
+    """si_membership on checked partition runs laid out by plan, where
+    arrows holds every arrow with a nonzero part. Only the vertices those
+    arrows touch are checked, in order, up to the first refused layout; at
+    every other vertex each entry is zero and sigma is 0."""
+    vertices, touches, refused, sigma = plan
+    sigma = sigma.copy()
+    for place in sorted(set().union(*map(touches.__getitem__, arrows))):
+        if place >= refused:
+            break
+        x, pairs = vertices[place]
         vecs = []
         for out_a, in_a, pad in pairs:
-            if pad < 0:
-                raise InputError(f"partition parts exceed the dimension at vertex {x}")
             vec = list(lam[out_a].pairs) if out_a else []
             if pad:
                 vec.append((0, pad))
             if in_a:
                 vec += [(-p, m) for p, m in reversed(lam[in_a].pairs)]
             vecs.append(vec)
-        if len(vecs) == 1:
-            sums = vecs[0]
-        elif len(vecs) == 2:
-            sums = _mirror_sums(vecs[0], vecs[1])
-        else:
-            raise InputError(f"vertex {x} carries more than two colors")
+        sums = vecs[0] if len(vecs) == 1 else _mirror_sums(vecs[0], vecs[1])
         sig = sums[0][0]
         entry = 1
         for s, m in sums:
@@ -361,6 +386,11 @@ def _membership(lam: dict[str, Runs], plan: _VertexPlan) -> MembershipResult:
                 return MembershipResult(False, witness=(x, entry))
             entry += m
         sigma[x] = sig
+    if refused < len(vertices):
+        x, pairs = vertices[refused]
+        if any(pad < 0 for _, _, pad in pairs):
+            raise InputError(f"partition parts exceed the dimension at vertex {x}")
+        raise InputError(f"vertex {x} carries more than two colors")
     return MembershipResult(True, sigma=sigma)
 
 
@@ -511,14 +541,14 @@ def _translate(
     """The generator (u, y), whose nonzero band values bands gives as
     (component index, value) pairs."""
     jumps = _jumps(ctx, u, bands)
-    lam = _partition_runs(ctx, u, jumps)
-    mem = _membership(lam, plan)
+    lam, reached = _partition_runs(ctx, u, jumps)
+    mem = _membership(lam, plan, reached)
     # the messages are built only on failure: this runs once per generator
     if not mem.ok:
         raise InvariantError(
             f"generator {name} fails the weight equations at {mem.witness}"
         )
-    deg = sum(p * m for runs in lam.values() for p, m in runs.pairs)
+    deg = sum(p * m for a in reached for p, m in lam[a].pairs)
     if deg > gen_bound:
         raise InvariantError(
             f"generator {name} has degree {deg} above the bound {gen_bound}"

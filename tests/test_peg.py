@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from reference import (
     reference_peg,
 )
 
+from gentle_si import si
 from gentle_si.cli import CliConfig, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.matching import make_system
@@ -46,7 +48,7 @@ from gentle_si.quivers import (
     monochromatic_ideal,
 )
 from gentle_si.ranks import maximal_rank_sequences
-from gentle_si.si import peg_context, si_presentation
+from gentle_si.si import component_labels, peg_context, si_presentation
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -257,6 +259,18 @@ def test_rank_zero_arrow_carries_no_variable():
     assert ext.free_arrows == ("a1",)
 
 
+def test_rank_zero_arrow_at_the_first_roots_reaches_no_component():
+    """a0 has rank 0 and its tail pair holds roots 0 and 1, so a slice of
+    r(a0) - 1 heights from there would run back over every root."""
+    q = Quiver(["0", "1", "2"], [Arrow("a0", "1", "0"), Arrow("a1", "1", "2")])
+    c = Coloring({"a0": "s0", "a1": "s1"})
+    beta, r = {"0": 0, "1": 3, "2": 3}, {"a0": 0, "a1": 3}
+    assert assert_matches_reference(q, c, beta, r)
+    ctx = peg_context(q, c, beta, r)
+    assert ctx.arrow_comps == {"a0": (), "a1": (1, 0)}
+    assert ctx.positions == ((("a1", 2),), (("a1", 1),))
+
+
 def test_export_dot_determinant():
     q, c, beta, r = determinant_example()
     g = build_peg(q, c, beta, r)
@@ -311,8 +325,9 @@ def test_random_pipelines_extract_valid_systems(seed):
 
 
 def reference_outputs(q, c, beta, r):
-    """Roots, edges, components, endpoints, the extracted equations and the
-    context lookups, read off tests/reference.py's general graph."""
+    """Roots, edges, components, endpoints, the extracted equations, the
+    context lookups and the grading labels, read off tests/reference.py's
+    general graph."""
     g = reference_peg(q, c, beta, r)
     comps = reference_components(g)
     eps = reference_endpoints(g, beta, r)
@@ -356,15 +371,45 @@ def reference_outputs(q, c, beta, r):
         "positions": tuple(map(tuple, positions)),
         "readers": tuple(tuple(readers[a]) for a in var_names),
         "band_slots": tuple(i for i, cp in enumerate(comps) if cp[0] == "band"),
+        "labels": ["|".join(map(str, min(roots))) for _, roots, _ in comps],
     }
 
 
-def engine_outputs(q, c, beta, r):
-    ctx = peg_context(q, c, beta, r)
-    g, ext = ctx.graph, ctx.extract
+def lazy_fields(ctx):
+    """The fields built on first read: the graph's roots and edges, and each
+    component's roots and endpoints."""
+    g = ctx.graph
     return {
         "edges": (g.roots, g.vertex_edges, g.colored_edges),
-        "components": [(cp.kind, cp.roots, cp.endpoints) for cp in ext.components],
+        "components": [
+            (cp.kind, cp.roots, cp.endpoints) for cp in ctx.extract.components
+        ],
+    }
+
+
+def present_on(ctx, q, c, beta, r):
+    """si_presentation run on ctx itself rather than on a context of its own."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        # a draw whose r is not maximal presents a smaller stratum
+        warnings.simplefilter("ignore", UserWarning)
+        mp.setattr(si, "peg_context", lambda *args: ctx)
+        si_presentation(q, c, beta, r)
+
+
+def engine_outputs(q, c, beta, r):
+    """The engine's outputs. The lazily built fields are read on one context
+    before si_presentation runs on it and on another after, and the two
+    readings must agree; the presentation itself builds none of them."""
+    early = peg_context(q, c, beta, r)
+    before = lazy_fields(early)
+    present_on(early, q, c, beta, r)
+    ctx = peg_context(q, c, beta, r)
+    present_on(ctx, q, c, beta, r)
+    assert not {"roots", "vertex_edges", "colored_edges"} & set(vars(ctx.graph))
+    assert lazy_fields(ctx) == before
+    g, ext = ctx.graph, ctx.extract
+    return {
+        **before,
         "endpoints": [
             (ep.root, ep.cls, ep.phi) for ep in classify_endpoints(g, beta, r)
         ],
@@ -375,6 +420,7 @@ def engine_outputs(q, c, beta, r):
         "positions": ctx.positions,
         "readers": ctx.readers,
         "band_slots": ctx.band_slots,
+        "labels": component_labels(ctx),
     }
 
 

@@ -31,7 +31,14 @@ import gentle_si.si as si_module
 from gentle_si import oracle
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.peg import build_peg
-from gentle_si.quivers import Arrow, Coloring, Quiver, is_gentle, monochromatic_ideal
+from gentle_si.quivers import (
+    Arrow,
+    Coloring,
+    Quiver,
+    color_incidence,
+    is_gentle,
+    monochromatic_ideal,
+)
 from gentle_si.ranks import is_maximal_rank, maximal_rank_sequences
 from gentle_si.si import (
     Runs,
@@ -411,6 +418,43 @@ def test_membership_on_runs_matches_dense_after_one_part_changes(data):
     assert (res.ok, res.sigma, res.witness) == dense_membership(lam, q, c, beta)
 
 
+def _outcome(check, lam, q, c, beta):
+    """(ok, sigma, witness) of a membership check, or the message it raised."""
+    try:
+        res = check(lam, q, c, beta)
+    except InputError as e:
+        return str(e)
+    return res if isinstance(res, tuple) else (res.ok, res.sigma, res.witness)
+
+
+def test_membership_on_any_map_returns_and_raises_as_dense():
+    """Caller maps with most parts zero, and now and then one part more than
+    fits: some exceed a dimension where no nonzero part reaches, some fail
+    an equation elsewhere, and whichever vertex comes first in sorted order
+    decides, as in the dense reference."""
+    rng = random.Random(29)
+    kinds = Counter()
+    for q, c, beta, _ in (running_example(), scaled_running(2), determinant_example()):
+        for _ in range(700):
+            lam = {}
+            for a in q.arrows:
+                top = min(beta[a.tail], beta[a.head])
+                n = top + 1 if rng.random() < 0.1 else rng.randint(0, top)
+                parts = [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)]
+                lam[a.name] = tuple(sorted(parts, reverse=True))
+            got = _outcome(si_membership, lam, q, c, beta)
+            assert got == _outcome(dense_membership, lam, q, c, beta), lam
+            if isinstance(got, str):
+                kinds["raised"] += 1
+            else:
+                length = {a: len(parts) for a, parts in lam.items()}
+                plan = si_module._vertex_plan(q, beta, color_incidence(q, c), length)
+                kinds[got[0], plan.refused < len(plan.vertices)] += 1
+    # a failed equation before a refused layout is among them
+    assert kinds[False, True] and kinds[False, False] and kinds[True, False]
+    assert kinds["raised"] > 100
+
+
 def test_runs_at_rank_zero_arrows_and_dimension_zero_vertices():
     """a2 has rank 0 and its head, vertex 3, dimension 0: a2 has no runs,
     and nothing is constrained at vertex 3, nor measured against its
@@ -494,6 +538,40 @@ def test_disjoint_copies_present_k_times_one_copy(seed, k):
     assert sorted(Counter(copy_of.values()).values()) == [gens] * k
     for rel in pres.matching.relations:
         assert len({copy_of[n] for n in (*rel.lhs, *rel.rhs)}) == 1, rel
+
+
+def _count_visits(monkeypatch):
+    """A one-item list that counts the (generator, vertex) pairs whose vertex
+    equations membership checks: every read of a vertex from the plan."""
+    visits = [0]
+    plan = si_module._vertex_plan
+
+    class Counted(list):
+        def __getitem__(self, i):
+            visits[0] += 1
+            return list.__getitem__(self, i)
+
+    def counted_plan(*args):
+        built = plan(*args)
+        return built._replace(vertices=Counted(built.vertices))
+
+    monkeypatch.setattr(si_module, "_vertex_plan", counted_plan)
+    return visits
+
+
+@pytest.mark.parametrize("seed", sorted(ONE_COPY))
+def test_membership_visits_grow_linearly_in_copies(seed, monkeypatch):
+    """Membership checks only the vertices a generator's nonzero runs touch,
+    so k disjoint copies make exactly k times the visits of one copy."""
+    visits = _count_visits(monkeypatch)
+    one = random_tight_component(random.Random(seed))
+    counts = {}
+    for k in (1, 2, 8, 32):
+        visits[0] = 0
+        si_presentation(*disjoint_copies(*one, k))
+        counts[k] = visits[0]
+    assert counts[1] > 0
+    assert counts == {k: k * counts[1] for k in counts}
 
 
 # ---------------------------------------------------------------------------
