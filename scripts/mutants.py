@@ -185,6 +185,21 @@ MUTANTS = (
         '"[" + body[2:] + nl + "]"',
         ("tests/test_cli.py::test_golden_output",),
     ),
+    # the writer's memo: each distinct leaf rendered once per report
+    Mutant(
+        "cli: memo keyed without the indentation",
+        CLI,
+        "key = (obj.pairs, nl)",
+        "key = obj.pairs",
+        ("tests/test_cli.py::test_render_json_memo_keys_by_content_and_depth",),
+    ),
+    Mutant(
+        "cli: sigma memo keyed by its values only",
+        CLI,
+        "key = (tuple(obj.items()), nl)",
+        "key = (tuple(obj.values()), nl)",
+        ("tests/test_cli.py::test_render_json_memo_keys_by_content_and_depth",),
+    ),
     # walk vectors as packed ints
     Mutant(
         "matching: plain comparison for the guarded one",

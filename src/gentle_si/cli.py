@@ -541,24 +541,34 @@ def _render_json(obj) -> str:
 
     The stdlib takes its pure-Python encoder for indented output. Here each
     list of plain ints is joined in one call, each run is written as one
-    repeated string, and strings are escaped by json's C routine. Recursion
-    runs through a module-level function, so no reference cycle is left for
-    the garbage collector.
+    repeated string, strings are escaped by json's C routine, and bools are
+    written without a call into json. Each distinct leaf, an si.Runs or a
+    dict of plain ints such as sigma, is rendered once per report: a memo
+    made for this call maps the leaf's content and indentation to its text,
+    and a repeat appends that text. Lists of ints are not memoised: relation
+    reports hold many distinct ones, which would pay for the key and gain
+    nothing. Recursion runs through a module-level function, so no
+    reference cycle is left for the garbage collector.
     """
     out: list[str] = []
-    _json_chunks(obj, "\n", out)
+    _json_chunks(obj, "\n", out, {})
     return "".join(out)
 
 
-def _json_chunks(obj, nl: str, out: list[str]) -> None:
-    """Append the text of obj, whose lines start with nl, to out."""
+def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
+    """Append the text of obj, whose lines start with nl, to out. memo maps
+    (content, nl) to the text of each run and flat int dict written so far."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif type(obj) is Runs:
-        sep = "," + nl + "  "
-        body = "".join([(sep + int.__repr__(v)) * m for v, m in obj.pairs])
-        # body[1:] drops the first comma; no parts at all write []
-        out.append("[" + body[1:] + nl + "]" if body else "[]")
+        key = (obj.pairs, nl)
+        text = memo.get(key)
+        if text is None:
+            sep = "," + nl + "  "
+            body = "".join([(sep + int.__repr__(v)) * m for v, m in obj.pairs])
+            # body[1:] drops the first comma; no parts at all write []
+            text = memo[key] = "[" + body[1:] + nl + "]" if body else "[]"
+        out.append(text)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -567,11 +577,28 @@ def _json_chunks(obj, nl: str, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise InvariantError(f"report key {key!r} is not a string")
         inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
+        keys = sorted(obj)
+        # most dicts fail the first test, before the values are read
+        flat = type(obj[keys[0]]) is int
+        if flat and _INT_ONLY.issuperset(map(type, obj.values())):
+            # str -> int, such as sigma; a bool is not an int here, so
+            # {"a": True} never shares the text of {"a": 1}
+            key = (tuple(obj.items()), nl)
+            text = memo.get(key)
+            if text is None:
+                sep, comma, parts = "{" + inner, "," + inner, []
+                for k in keys:
+                    parts.append(sep + encode_basestring_ascii(k) + ": ")
+                    parts.append(int.__repr__(obj[k]))
+                    sep = comma
+                text = memo[key] = "".join(parts) + nl + "}"
+            out.append(text)
+            return
+        sep, comma = "{" + inner, "," + inner
+        for key in keys:
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(obj[key], inner, out)
-            sep = "," + inner
+            _json_chunks(obj[key], inner, out, memo)
+            sep = comma
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
@@ -585,14 +612,16 @@ def _json_chunks(obj, nl: str, out: list[str]) -> None:
                 body = ("," + inner).join(map(int.__repr__, obj))
             out.append("[" + inner + body + nl + "]")
             return
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in obj:
             out.append(sep)
-            _json_chunks(item, inner, out)
-            sep = "," + inner
+            _json_chunks(item, inner, out, memo)
+            sep = comma
         out.append(nl + "]")
     elif type(obj) is int:
         out.append(int.__repr__(obj))
+    elif type(obj) is bool:
+        out.append("true" if obj else "false")
     else:
         out.append(json.dumps(obj))
 

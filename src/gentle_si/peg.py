@@ -60,7 +60,10 @@ class PegGraph:
     vpart for the mirror pairs, cpart for the index-reflected pairs along
     arrows, with carrow the arrow of each root's cpart edge. The pipeline
     reads numbers only; roots, vertex_edges and colored_edges give the same
-    graph as Roots and are built on first read.
+    graph as Roots and are built on first read. So are the pair blocks and
+    the roots of degree <= 1, which components, classify_endpoints and roots
+    share: each is built once per graph, on the partner arrays as they are
+    at that first read.
     """
 
     inc: dict[tuple[str, str], Incidence]
@@ -75,7 +78,7 @@ class PegGraph:
         """Every root, sorted, so that roots[k] has number k."""
         return tuple(
             _new_root((x, s, i))
-            for x, s, f, end in self._blocks()
+            for x, s, f, end in self._blocks
             for i in range(1, end - f + 1)
         )
 
@@ -91,10 +94,23 @@ class PegGraph:
             (roots[i], roots[j], carrow[i]) for i, j in enumerate(self.cpart) if j > i
         )
 
+    @cached_property
     def _blocks(self) -> list[tuple[str, str, int, int]]:
         """(vertex, color, first number, end number) for each incidence pair."""
         ends = [*list(self.first.values())[1:], len(self.vpart)]
         return [(x, s, f, e) for ((x, s), f), e in zip(self.first.items(), ends)]
+
+    @cached_property
+    def _low(self) -> list[int]:
+        """The numbers of the roots of degree <= 1, ascending: those that one
+        partner array leaves unpaired."""
+        low = set()
+        for part in (self.vpart, self.cpart):
+            k = -1
+            for _ in range(part.count(-1)):
+                k = part.index(-1, k + 1)
+                low.add(k)
+        return sorted(low)
 
     def _roots_at(self, numbers: list[int]) -> list[Root]:
         """The roots with the given numbers, read off the pair table."""
@@ -216,18 +232,6 @@ def _walk(
     return walk, nxt
 
 
-def _low(graph: PegGraph) -> list[int]:
-    """The numbers of the roots of degree <= 1, ascending: those that one
-    partner array leaves unpaired."""
-    low = set()
-    for part in (graph.vpart, graph.cpart):
-        k = -1
-        for _ in range(part.count(-1)):
-            k = part.index(-1, k + 1)
-            low.add(k)
-    return sorted(low)
-
-
 def components(graph: PegGraph) -> list[PegComponent]:
     """Connected components in canonical order and orientation.
 
@@ -246,7 +250,7 @@ def components(graph: PegGraph) -> list[PegComponent]:
 
     seen = bytearray(n)
     found = []
-    for e in _low(graph):
+    for e in graph._low:
         if seen[e]:
             continue
         if vpart[e] < 0 and cpart[e] < 0:
@@ -291,9 +295,9 @@ def classify_endpoints(
 ) -> list[Endpoint]:
     """The roots of degree <= 1 in root order, each with its class and phi."""
     ncolors = Counter(x for x, _ in graph.inc)
-    low = _low(graph)
+    low = graph._low
     out = []
-    for x, s, f, end in graph._blocks():
+    for x, s, f, end in graph._blocks:
         at = low[bisect_left(low, f):bisect_left(low, end)]
         if not at:
             continue

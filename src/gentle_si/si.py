@@ -35,7 +35,8 @@ PartitionMap = dict[str, tuple[int, ...]]
 class Runs:
     """A sequence of ints held as (value, count) pairs in order: a partition,
     a y or a grade. expand() writes it out; cli._render_json writes it as the
-    expanded list, while json.dumps refuses it. Two Runs are equal when
+    expanded list, building the text of each distinct pairs once per report
+    and indentation, while json.dumps refuses it. Two Runs are equal when
     their pairs are, so compare expand() for the values."""
 
     pairs: tuple[tuple[int, int], ...]

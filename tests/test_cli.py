@@ -15,6 +15,7 @@ import shlex
 import signal
 import time
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import jsonschema
@@ -317,8 +318,15 @@ JSON_LEAVES = (
         max_size=4,
     ).map(lambda pairs: Runs(tuple(pairs)))
 )
+# a dict of plain ints, as sigma is: the writer memoises these
+FLAT_INT_DICTS = st.dictionaries(
+    JSON_TEXT, st.integers(-3, 2000), min_size=1, max_size=4
+)
+# one leaf drawn per example and placed wherever the tree draws it, so one
+# tree holds the same leaf at different depths
+REUSED_LEAF = st.shared(JSON_LEAVES | FLAT_INT_DICTS, key="reused leaf")
 JSON_TREES = st.recursive(
-    JSON_LEAVES,
+    JSON_LEAVES | FLAT_INT_DICTS | REUSED_LEAF,
     lambda kids: (
         st.lists(kids, max_size=4)
         | st.lists(kids, max_size=4).map(tuple)
@@ -343,6 +351,30 @@ def test_render_json_matches_stdlib(obj):
 def test_render_json_rejects_non_string_keys():
     with pytest.raises(InvariantError, match="not a string"):
         cli._render_json({"a": {1: "b"}})
+    for bad in ({1: 2}, {"a": 1, None: 2}, {2: {}, 1: "b"}, {"a": [1], 1.5: 0}):
+        with pytest.raises(InvariantError, match="not a string"):
+            cli._render_json([{"a": 1}, bad])
+
+
+def test_render_json_memo_keys_by_content_and_depth():
+    """A leaf's text is reused only where content and indentation match:
+    the same and an equal Runs, int list and sigma-like dict at two depths,
+    dicts that share their values but not their keys, and neighbours that
+    differ only by True against 1. Two renders give the same text."""
+    runs = Runs(((2, 3), (0, 1)))
+    ints = [4, 0, 1, 1]
+    sigma = {"x": 1, "y": -2}
+    payload = {
+        "top": [runs, Runs(((2, 3), (0, 1))), ints, list(ints), sigma, dict(sigma)],
+        "deep": {"deeper": [[runs, ints, sigma], {"s": sigma, "r": runs}]},
+        "same values": [sigma, {"x": 1, "z": -2}, {"y": 1, "x": -2}, {"z": -2, "x": 1}],
+        "bools": [{"a": True}, {"a": 1}, {"a": True}, [True], [1], [True], {"a": 1}],
+        "ones": [Runs(((1, 1),)), [1], {"a": 1}, Runs(((1, 2),)), [1, 1]],
+        "zeros": [Runs(()), [], {}, Runs(((0, 0),)), Runs(((0, 1),)), [0], {"a": 0}],
+    }
+    expected = stdlib_json(expand_runs(payload))
+    assert cli._render_json(payload) == expected
+    assert cli._render_json(payload) == expected
 
 
 def test_every_command_payload_renders_as_stdlib():
@@ -383,6 +415,52 @@ def test_presentation_payloads_render_as_stdlib_on_random_components():
         assert cli._render_json(payload) == expected, seed
         rendered += 1
     assert rendered == 170
+
+
+@pytest.mark.parametrize("k", [10, 25, 50])
+def test_scaled_presentation_payloads_render_as_stdlib(k):
+    """Running xk, whose partitions repeat across generators, renders as
+    json.dumps renders it expanded."""
+    payload = cli._COMMANDS["presentation"][0](parse_model(scaled_running(k)))
+    assert cli._render_json(payload) == stdlib_json(expand_runs(payload))
+
+
+def test_render_json_builds_each_distinct_partition_once(monkeypatch):
+    """At running x50 the writer builds 101 partition texts for the 728
+    partitions it writes, and 5 sigma texts for 104 generators: a memo that
+    counts, by indentation, what is asked for and what is built."""
+    asked, built = Counter(), Counter()
+
+    class CountingMemo(dict):
+        def get(self, key):
+            asked[key[1]] += 1
+            return dict.get(self, key)
+
+        def __setitem__(self, key, text):
+            built[key[1]] += 1
+            dict.__setitem__(self, key, text)
+
+    real = cli._json_chunks
+
+    def top(obj, nl, out, memo):
+        monkeypatch.setattr(cli, "_json_chunks", real)
+        real(obj, nl, out, CountingMemo())
+
+    payload = cli._COMMANDS["presentation"][0](parse_model(scaled_running(50)))
+    plain = cli._render_json(payload)
+    monkeypatch.setattr(cli, "_json_chunks", top)
+    assert cli._render_json(payload) == plain
+    gens = payload["generators"]
+    partitions = [runs for g in gens for runs in g["partitions"].values()]
+    assert (len(partitions), len({runs.pairs for runs in partitions})) == (728, 101)
+    at_partitions = "\n" + " " * 8  # generators, a generator, its partitions
+    assert (asked[at_partitions], built[at_partitions]) == (728, 101)
+    # a generator's y, grade and sigma sit one level up
+    runs = {g[name].pairs for g in gens for name in ("y", "grade")}
+    sigmas = {tuple(g["sigma"].items()) for g in gens}
+    assert len(gens) == 104 and len(sigmas) == 5
+    at_fields = "\n" + " " * 6
+    assert (asked[at_fields], built[at_fields]) == (3 * 104, len(runs) + 5)
 
 
 def test_render_json_writes_empty_and_single_runs():

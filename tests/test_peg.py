@@ -5,6 +5,8 @@ import pathlib
 import random
 import re
 import warnings
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +33,7 @@ from gentle_si.cli import CliConfig, parse_model, run_command
 from gentle_si.errors import InputError, InvariantError
 from gentle_si.matching import make_system
 from gentle_si.peg import (
+    PegGraph,
     Root,
     build_peg,
     classify_endpoints,
@@ -466,6 +469,40 @@ def test_partner_arrays_match_the_general_graph_on_bundled_models(name):
     ranks = [model.rank] if model.rank else maximal_rank_sequences(q, c, model.beta)
     for r in ranks:
         assert assert_matches_reference(q, c, model.beta, r)
+
+
+def test_pair_blocks_and_low_roots_are_built_once_per_graph(monkeypatch):
+    """components, classify_endpoints and the lazy roots share one build of
+    the pair blocks and one of the roots of degree <= 1: once each per
+    extraction, also when the presentation and every Root are read after."""
+    built = Counter()
+    for name in ("_blocks", "_low"):
+        func = PegGraph.__dict__[name].func
+
+        def counted(graph, func=func, name=name):
+            built[name] += 1
+            return func(graph)
+
+        prop = cached_property(counted)
+        prop.__set_name__(PegGraph, name)
+        monkeypatch.setattr(PegGraph, name, prop)
+    draws = [running_example(), scaled(*running_example(), 3)]
+    draws += [random_tight_component(random.Random(seed)) for seed in range(40)]
+    extracted = 0
+    for draw in draws:
+        built.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                pres = si_presentation(*draw)
+            except InputError:  # a vertex carries three colors
+                continue
+        roots = pres.context.graph.roots
+        for cp in pres.context.extract.components:
+            assert set(cp.roots) <= set(roots)
+        assert built == {"_blocks": 1, "_low": 1}
+        extracted += 1
+    assert extracted >= 30
 
 
 def test_components_refuse_a_root_paired_twice():
